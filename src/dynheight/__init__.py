@@ -22,15 +22,10 @@ from .dynsys import (
     HomogPoly,
     Morphism,
     PolarizedSystem,
-    Word,
-    bad_primes,
     commutes,
     compose,
-    morphism_eval,
     parse_homog,
-    resultant_p1,
     validate_system,
-    words,
 )
 from .errors import (
     BadParameterError,

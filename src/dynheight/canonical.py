@@ -110,6 +110,32 @@ class GreenConfig:
         return int(env) if env else DEFAULT_NODE_BUDGET
 
 
+def charge_level(nodes: int, k: int, m: int, budget: int) -> int:
+    """Add level m's k^m words to the node count; raise past the budget."""
+    nodes += k**m
+    if nodes > budget:
+        raise BudgetExceededError(f"budget exceeded: depth {m} needs {nodes} nodes > {budget}")
+    return nodes
+
+
+def _converged(
+    system: PolarizedSystem, cfg: GreenConfig, increments: list[float], chat: float
+) -> bool:
+    """The adaptive stop rule of GreenConfig, after level len(increments)."""
+    m = len(increments)
+    if cfg.mode != "adaptive" or m < 2:
+        return False
+    k, alpha = system.k, system.alpha
+    ratio = k / alpha
+    cauchy = cfg.target_eps * (alpha - k) / k
+    geom_tail = chat * ratio**m / (1.0 - ratio)
+    return (
+        abs(increments[-1]) < cauchy
+        and abs(increments[-2]) < cauchy
+        and geom_tail < cfg.target_eps
+    )
+
+
 @dataclass
 class GreenProfile:
     """One place-local Green evaluation with its convergence diagnostics."""
@@ -189,20 +215,12 @@ def _green_arch(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProfi
     total = math.log(sup)
     x = np.array([[float(Fraction(c, sup)) for c in coords]])
     budget = cfg.resolved_budget()
-    ratio = k / alpha
-    cauchy = cfg.target_eps * (alpha - k) / k
     increments: list[float] = []
     chat = 0.0
     nodes = 0
-    depth_done = 0
     weight = 1.0
     for m in range(1, cfg.depth + 1):
-        new_nodes = x.shape[0] * k
-        if nodes + new_nodes > budget:
-            raise BudgetExceededError(
-                f"budget exceeded: depth {m} needs {nodes + new_nodes} nodes > {budget}"
-            )
-        nodes += new_nodes
+        nodes = charge_level(nodes, k, m, budget)
         children = []
         lncs = []
         for mp in system.maps:
@@ -218,18 +236,10 @@ def _green_arch(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProfi
         chat = max(chat, float(np.max(np.abs(np.sum(lnc, axis=1)))) / alpha)
         total += inc
         increments.append(inc)
-        depth_done = m
-        if cfg.mode == "adaptive" and m >= 2:
-            geom_tail = chat * ratio**m / (1.0 - ratio)
-            if (
-                abs(inc) < cauchy
-                and abs(increments[-2]) < cauchy
-                and geom_tail < cfg.target_eps
-            ):
-                break
-        if m < cfg.depth:
-            x = np.stack(children, axis=1).reshape(-1, nvars)
-    return GreenProfile(total, increments, chat, depth_done, nodes)
+        if m == cfg.depth or _converged(system, cfg, increments, chat):
+            break
+        x = np.stack(children, axis=1).reshape(-1, nvars)
+    return GreenProfile(total, increments, chat, len(increments), nodes)
 
 
 # -- finite-place walk ----------------------------------------------------------------
@@ -262,8 +272,6 @@ def _padic_walk(
     exact = Fraction(-e0)
     lnp = math.log(p)
     budget = cfg.resolved_budget()
-    ratio = k / alpha
-    cauchy = cfg.target_eps * (alpha - k) / k
     if system.dim == 1:
         res_bound = sum(ord_p(r, p) for r in system.resultants())
         chat = float(Fraction(res_bound, alpha)) * lnp
@@ -273,15 +281,8 @@ def _padic_walk(
         monitored = True
     increments: list[float] = []
     nodes = 0
-    width = 1
-    depth_done = 0
     for m in range(1, cfg.depth + 1):
-        width *= k
-        if nodes + width > budget:
-            raise BudgetExceededError(
-                f"budget exceeded: depth {m} needs {nodes + width} nodes > {budget}"
-            )
-        nodes += width
+        nodes = charge_level(nodes, k, m, budget)
         new_states: dict[tuple, int] = {}
         level_sum = 0
         for (cs, prec), mult in states.items():
@@ -310,16 +311,9 @@ def _padic_walk(
         inc = -float(step) * lnp
         increments.append(inc)
         states = new_states
-        depth_done = m
-        if cfg.mode == "adaptive" and m >= 2:
-            geom_tail = chat * ratio**m / (1.0 - ratio)
-            if (
-                abs(inc) < cauchy
-                and abs(increments[-2]) < cauchy
-                and geom_tail < cfg.target_eps
-            ):
-                break
-    return GreenProfile(float(exact) * lnp, increments, chat, depth_done, nodes, exact)
+        if _converged(system, cfg, increments, chat):
+            break
+    return GreenProfile(float(exact) * lnp, increments, chat, len(increments), nodes, exact)
 
 
 def _green_padic(system: PolarizedSystem, coords, p: int, cfg: GreenConfig) -> GreenProfile:
@@ -440,13 +434,9 @@ def canonical_height_oracle_detailed(
 
     level: dict[tuple[int, ...], int] = {point.coords: 1}
     c_measured = 0.0
-    width = 1
-    nodes = 1
-    for _m in range(n):
-        width *= k
-        nodes += width
-        if nodes > budget:
-            raise BudgetExceededError(f"budget exceeded: {nodes} nodes > {budget}")
+    nodes = 0
+    for m in range(1, n + 1):
+        nodes = charge_level(nodes, k, m, budget)
         new_level: dict[tuple[int, ...], int] = {}
         for coords, mult in level.items():
             child_heights = []

@@ -103,15 +103,31 @@ def _require_family(sf: SystemFile) -> ParamSystem:
     return sf.family
 
 
+def _family_section(sf: SystemFile, point_text: str | None) -> tuple[ParamSystem, Section]:
+    """The family and the section to sweep: the file's, or --point as a constant."""
+    family = _require_family(sf)
+    section = Section.constant(parse_point(point_text)) if point_text else sf.section
+    if section is None:
+        raise ValidationError("family file has no section; pass --point")
+    return family, section
+
+
 def _green_cfg(depth: int | None, eps: float | None) -> GreenConfig:
     if eps is not None:
         return GreenConfig(depth=depth or 60, target_eps=eps, mode="adaptive")
     return GreenConfig(depth=depth or 20, mode="fixed")
 
 
+def _rational(text: str, what: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"cannot parse {what} {text!r}: {exc}") from exc
+
+
 def _lift_coords(text: str) -> tuple[int, ...]:
     # Lift coordinates keep their scaling: clear denominators, nothing else.
-    vals = [Fraction(p.strip()) for p in text.split(":")]
+    vals = [_rational(p, "lift coordinate") for p in text.split(":")]
     scale = lcm(*(v.denominator for v in vals))
     return tuple(int(v * scale) for v in vals)
 
@@ -126,15 +142,15 @@ def _parse_t_samples(text: str) -> list[Fraction]:
         if token.startswith("+-") or token.startswith("±"):
             token = token.lstrip("±").lstrip("+-")
             signs = (1, -1)
-        if ".." in token:
-            lo_s, hi_s = token.split("..")
-            lo, hi = int(lo_s), int(hi_s)
-            for v in range(lo, hi + 1):
-                for s in signs:
-                    out.append(Fraction(s * v))
-        else:
-            for s in signs:
-                out.append(s * Fraction(token))
+        try:
+            if ".." in token:
+                lo_s, hi_s = token.split("..")
+                values = [Fraction(v) for v in range(int(lo_s), int(hi_s) + 1)]
+            else:
+                values = [Fraction(token)]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"cannot parse t sample {token!r}: {exc}") from exc
+        out.extend(s * v for v in values for s in signs)
     if not out:
         raise ValidationError("empty t sample list")
     return out
@@ -300,11 +316,7 @@ def commute(system_path, other_path, place_text, samples, seed, depth, eps, out)
 @click.option("--out", default=None)
 def sweep(system_path, t_samples_text, point_text, depth, eps, fmt, out):
     """Height-difference sweep over parameters with envelope fit."""
-    sf = load_system_file(system_path)
-    family = _require_family(sf)
-    section = Section.constant(parse_point(point_text)) if point_text else sf.section
-    if section is None:
-        raise ValidationError("family file has no section; pass --point")
+    family, section = _family_section(load_system_file(system_path), point_text)
     result = variation_sweep(family, [section], _parse_t_samples(t_samples_text), _green_cfg(depth, eps))
     if fmt == "csv":
         _emit(rows_to_csv(result.rows), out)
@@ -337,11 +349,7 @@ def sweep(system_path, t_samples_text, point_text, depth, eps, fmt, out):
 @click.option("--out", default=None)
 def ratio(system_path, t_samples_text, point_text, ff_depth, depth, eps, out):
     """Fiber-height to base-height ratios along a parameter sequence."""
-    sf = load_system_file(system_path)
-    family = _require_family(sf)
-    section = Section.constant(parse_point(point_text)) if point_text else sf.section
-    if section is None:
-        raise ValidationError("family file has no section; pass --point")
+    family, section = _family_section(load_system_file(system_path), point_text)
     result = limit_ratio(family, section, _parse_t_samples(t_samples_text), _green_cfg(depth, eps), ff_depth)
     _emit(rows_to_csv(result.rows), out)
     click.echo(f"ff_height {result.ff_value} skipped={len(result.skipped)}", err=True)
@@ -358,11 +366,7 @@ def ratio(system_path, t_samples_text, point_text, ff_depth, depth, eps, out):
 @click.option("--out", default=None)
 def local_sweep(system_path, t_samples_text, point_text, j, place_text, depth, eps, out):
     """Local height differences against the boundary local height."""
-    sf = load_system_file(system_path)
-    family = _require_family(sf)
-    section = Section.constant(parse_point(point_text)) if point_text else sf.section
-    if section is None:
-        raise ValidationError("family file has no section; pass --point")
+    family, section = _family_section(load_system_file(system_path), point_text)
     if j is None:
         j = 1
     result = local_variation_sweep(
@@ -388,8 +392,8 @@ def solve(alpha, actions_text, c_text):
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad action matrices: {exc}") from exc
     actions = [PermTypeMatrix.from_matrix(m) for m in mats]
-    c = [Fraction(part.strip()) for part in c_text.split(",")]
-    weights = solve_weights(Fraction(alpha), actions, c)
+    c = [_rational(part, "--c entry") for part in c_text.split(",")]
+    weights = solve_weights(_rational(alpha, "--alpha"), actions, c)
     click.echo(",".join(str(v) for v in weights.x))
     if not weights.within_classical_hypothesis:
         click.echo("note: alpha <= n*k; solved in the wider alpha > k regime", err=True)

@@ -17,38 +17,30 @@ the only finite places that can carry a nonzero Green function.  On higher
 P^N no resultant is computed; morphism-ness is user-asserted and failures
 surface as runtime "indeterminate point" errors.
 
-Polynomial grammar (bit-exact): variables X0..XN and t (families only),
-integer literals, operators + - * ^ with ^ applied to positive integer
-literals, no division, whitespace ignored.  Example: "X0^2 - 2*X1^2".
+Lift polynomials are read by polynomial.parse_terms, which states the
+grammar.
 """
 
 from __future__ import annotations
 
-import itertools
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import IndeterminatePointError, ValidationError
 from .exactnum import prime_factors
 from .linalg import det_int, det_tpoly
-from .polynomial import TPoly
+from .polynomial import TPoly, parse_terms
 from .projective import ProjPointFF, ProjPointQ, normalize, normalize_ff
 
 __all__ = [
     "HomogPoly",
     "Morphism",
     "PolarizedSystem",
-    "Word",
     "parse_homog",
-    "morphism_eval",
     "compose",
-    "resultant_p1",
-    "bad_primes",
     "commutes",
     "validate_system",
-    "words",
 ]
 
 def _czero(c) -> bool:
@@ -71,10 +63,6 @@ def _clead(c) -> int:
 
 def _ceval_t(c, t0: Fraction):
     return c.eval(t0) if isinstance(c, TPoly) else Fraction(c)
-
-
-def _chas_t(c) -> bool:
-    return isinstance(c, TPoly) and c.degree > 0
 
 
 class HomogPoly:
@@ -250,122 +238,13 @@ class HomogPoly:
         return f"HomogPoly({self})"
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(X\d+|t)|([+\-*^]))")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValidationError(f"bad character in polynomial near {text[pos:pos+8]!r}")
-        if m.group(1):
-            tokens.append(("int", m.group(1)))
-        elif m.group(2):
-            tokens.append(("var", m.group(2)))
-        else:
-            tokens.append(("op", m.group(3)))
-        pos = m.end()
-    return tokens
-
-
 def parse_homog(text: str, nvars: int, allow_t: bool = False) -> HomogPoly:
-    """Parse a homogeneous polynomial in X0..X(nvars-1), optionally with t."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValidationError("empty polynomial")
-    idx = 0
+    """Parse a homogeneous polynomial in X0..X(nvars-1), optionally with t.
 
-    def peek():
-        return tokens[idx] if idx < len(tokens) else (None, None)
-
-    def take():
-        nonlocal idx
-        tok = tokens[idx]
-        idx += 1
-        return tok
-
-    # A parsed fragment is a term map exps -> TPoly coefficient.
-    one = {(0,) * nvars: TPoly.const(1)}
-
-    def mul_maps(a, b):
-        out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = out.get(e, TPoly()) + c1 * c2
-        return out
-
-    def pow_map(a, n):
-        out = dict(one)
-        for _ in range(n):
-            out = mul_maps(out, a)
-        return out
-
-    def factor():
-        kind, val = peek()
-        if kind == "int":
-            take()
-            base = {(0,) * nvars: TPoly.const(int(val))}
-        elif kind == "var":
-            take()
-            if val == "t":
-                if not allow_t:
-                    raise ValidationError("t is not allowed in this polynomial")
-                base = {(0,) * nvars: TPoly.t()}
-            else:
-                i = int(val[1:])
-                if i >= nvars:
-                    raise ValidationError(f"variable {val} out of range for dimension {nvars - 1}")
-                exps = tuple(1 if j == i else 0 for j in range(nvars))
-                base = {exps: TPoly.const(1)}
-        else:
-            raise ValidationError("expected integer, variable or t")
-        if peek() == ("op", "^"):
-            take()
-            kind, val = take()
-            if kind != "int" or int(val) < 1:
-                raise ValidationError("^ needs a positive integer exponent")
-            base = pow_map(base, int(val))
-        return base
-
-    def term():
-        out = factor()
-        while peek() == ("op", "*"):
-            take()
-            out = mul_maps(out, factor())
-        return out
-
-    def expr():
-        sign = 1
-        if peek() == ("op", "-"):
-            take()
-            sign = -1
-        elif peek() == ("op", "+"):
-            take()
-        cur = term()
-        out = {e: sign * c for e, c in cur.items()}
-        while peek()[0] == "op" and peek()[1] in "+-":
-            _, op = take()
-            nxt = term()
-            s = 1 if op == "+" else -1
-            for e, c in nxt.items():
-                out[e] = out.get(e, TPoly()) + s * c
-        return out
-
-    term_map = expr()
-    if idx != len(tokens):
-        raise ValidationError("trailing tokens in polynomial")
-    # Demote constant coefficients to plain ints when no t is present.
-    final: dict = {}
-    for e, c in term_map.items():
-        if c.is_zero:
-            continue
-        final[e] = c.lead if c.is_constant else c
-    return HomogPoly(nvars, final)
+    Coefficients without t become plain ints.
+    """
+    terms = parse_terms(text, nvars, allow_t)
+    return HomogPoly(nvars, {e: c.lead if c.is_constant else c for e, c in terms.items()})
 
 
 class Morphism:
@@ -555,7 +434,7 @@ class PolarizedSystem:
     k: int
     alpha: int
     dim: int
-    _bad_primes: list = field(default_factory=list, compare=False, repr=False)
+    _bad_primes: list | None = field(default=None, compare=False, repr=False)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -566,13 +445,11 @@ class PolarizedSystem:
 
     def bad_primes(self) -> list[int]:
         """Primes dividing some lift resultant (P^1 only), sorted."""
-        if not self._bad_primes:
-            prod = 1
-            for r in self.resultants():
-                prod *= r
-            found = sorted(prime_factors(prod)) if abs(prod) != 1 else []
-            self._bad_primes.extend(found + [-1])  # sentinel marks "computed"
-        return [p for p in self._bad_primes if p != -1]
+        if self._bad_primes is None:
+            res = prod(self.resultants())
+            found = sorted(prime_factors(res)) if abs(res) != 1 else []
+            object.__setattr__(self, "_bad_primes", found)
+        return list(self._bad_primes)
 
 
 def validate_system(maps) -> PolarizedSystem:
@@ -602,41 +479,8 @@ def validate_system(maps) -> PolarizedSystem:
     return PolarizedSystem(maps=maps, k=k, alpha=alpha, dim=dim)
 
 
-# -- words -----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Word:
-    """A finite composition of system maps, stored as letter indices."""
-
-    letters: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-
-def words(k: int, n: int):
-    """All k^n words of length n in lexicographic order."""
-    return (Word(w) for w in itertools.product(range(k), repeat=n))
-
-
-# -- spec-shaped functional aliases -------------------------------------------------
-
-
-def morphism_eval(f: Morphism, point: ProjPointQ) -> ProjPointQ:
-    return f.apply(point)
-
-
 def compose(f: Morphism, g: Morphism) -> Morphism:
     return f.compose(g)
-
-
-def resultant_p1(f: Morphism) -> int:
-    return f.resultant()
-
-
-def bad_primes(system: PolarizedSystem) -> list[int]:
-    return system.bad_primes()
 
 
 def commutes(f: Morphism, g: Morphism) -> bool:

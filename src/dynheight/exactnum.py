@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import ValidationError
+
 __all__ = [
     "Place",
     "ord_p",
@@ -32,24 +34,54 @@ __all__ = [
 ]
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check (desk-scale inputs)."""
+    """Miller-Rabin test with the first 13 primes as bases.
+
+    Exact below 3.3 * 10^24 (Sorenson and Webster, 2015).  Above that it is
+    probabilistic: a composite passes only if it is a strong pseudoprime to
+    all 13 bases.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
+def _perfect_power(n: int) -> tuple[int, int]:
+    """(r, e) with r^e = n and e >= 2 as small as possible, else (n, 1)."""
+    for e in range(2, n.bit_length()):
+        r = 1 << -(-n.bit_length() // e)          # r >= n^(1/e); Newton descends
+        while True:
+            nxt = ((e - 1) * r + n // r ** (e - 1)) // e
+            if nxt >= r:
+                break
+            r = nxt
+        if r**e == n:
+            return r, e
+    return n, 1
+
+
 def _pollard_rho(n: int) -> int:
-    # Brent's variant; n odd composite, not a prime power of interest.
+    # Brent's variant; n odd composite and not a perfect power.
     if n % 2 == 0:
         return 2
     for c in range(1, 64):
@@ -81,7 +113,7 @@ def prime_factors(n: int) -> dict[int, int]:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 2
-    # Anything left is either prime or a product of two large primes.
+    # Anything left has no prime factor below d.
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -89,6 +121,10 @@ def prime_factors(n: int) -> dict[int, int]:
             continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
+            continue
+        r, e = _perfect_power(m)
+        if e > 1:
+            stack.extend([r] * e)
         else:
             d = _pollard_rho(m)
             stack.extend((d, m // d))
@@ -129,9 +165,9 @@ class Place:
         text = text.strip().lower()
         if text in ("inf", "infinity", "oo"):
             return cls.infinity()
-        if text.startswith("p") and text[1:].isdigit():
+        if text.startswith("p") and text[1:].isdecimal() and is_prime(int(text[1:])):
             return cls.prime(int(text[1:]))
-        raise ValueError(f"cannot parse place {text!r} (use 'inf' or 'pN')")
+        raise ValidationError(f"cannot parse place {text!r} (use 'inf' or 'pN' with N prime)")
 
 
 INFINITY = Place.infinity()

@@ -29,14 +29,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonical import (
+    DEFAULT_NODE_BUDGET,
     GreenConfig,
     canonical_height,
     canonical_local_height,
+    charge_level,
 )
 from .dynsys import Morphism, PolarizedSystem, validate_system
 from .errors import (
     BadParameterError,
-    BudgetExceededError,
     PointOnDivisorError,
     ValidationError,
 )
@@ -152,7 +153,7 @@ class FFHeightResult:
 
 
 def ff_canonical_height(
-    system: ParamSystem, section: Section, n: int, node_budget: int = 10**7
+    system: ParamSystem, section: Section, n: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> FFHeightResult:
     """Exact word iteration of the section over Q(t), averaged by alpha^n."""
     if n < 0:
@@ -161,13 +162,9 @@ def ff_canonical_height(
     level: dict[tuple, int] = {section.point.coords: 1}
     prev = Fraction(ff_height(section.point))
     value = prev
-    width = 1
-    nodes = 1
+    nodes = 0
     for m in range(1, n + 1):
-        width *= k
-        nodes += width
-        if nodes > node_budget:
-            raise BudgetExceededError(f"budget exceeded: {nodes} nodes > {node_budget}")
+        nodes = charge_level(nodes, k, m, node_budget)
         new_level: dict[tuple, int] = {}
         for coords, mult in level.items():
             point = ProjPointFF(coords)

@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 import re
 
-__all__ = ["TPoly", "parse_tpoly"]
+from .errors import ValidationError
+
+__all__ = ["TPoly", "parse_terms", "parse_tpoly"]
 
 
 class TPoly:
@@ -236,13 +238,17 @@ def _coerce(v) -> TPoly | None:
     return None
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(t)|([+\-*^]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|(X\d+|t)|([+\-*^]))")
 
 
-def parse_tpoly(text: str) -> TPoly:
-    """Parse an integer polynomial in t: literals, t, and the operators + - * ^.
+def parse_terms(text: str, nvars: int, allow_t: bool) -> dict[tuple[int, ...], TPoly]:
+    """Parse a polynomial in X0..X(nvars-1), and in t when allow_t.
 
-    Exponents must be positive integer literals.  Example: "2*t^3 - t + 5".
+    Grammar (bit-exact): variables X0..XN and t, integer literals, operators
+    + - * ^ with ^ applied to positive integer literals, no division,
+    whitespace ignored.  Example: "X0^2 - 2*X1^2".  Returns the map from
+    exponent vectors to nonzero TPoly coefficients; every malformed input
+    raises ValidationError.
     """
     tokens: list[tuple[str, str]] = []
     pos = 0
@@ -251,15 +257,11 @@ def parse_tpoly(text: str) -> TPoly:
         if m is None:
             if text[pos:].strip() == "":
                 break
-            raise ValueError(f"bad character in polynomial at {text[pos:]!r}")
-        if m.group(1):
-            tokens.append(("int", m.group(1)))
-        elif m.group(2):
-            tokens.append(("var", "t"))
-        else:
-            tokens.append(("op", m.group(3)))
+            raise ValidationError(f"bad character in polynomial near {text[pos:pos+8]!r}")
+        tokens.append((("int", "var", "op")[m.lastindex - 1], m.group(m.lastindex)))
         pos = m.end()
-
+    if not tokens:
+        raise ValidationError("empty polynomial")
     idx = 0
 
     def peek():
@@ -267,52 +269,59 @@ def parse_tpoly(text: str) -> TPoly:
 
     def take():
         nonlocal idx
-        tok = tokens[idx]
+        tok = peek()
         idx += 1
         return tok
 
-    def factor() -> TPoly:
-        kind, val = peek()
+    # Without parentheses every term is one monomial: (exponents, coefficient).
+    const = (0,) * nvars
+
+    def factor():
+        kind, val = take()
         if kind == "int":
-            take()
-            base = TPoly.const(int(val))
+            exps, c = const, TPoly.const(int(val))
+        elif val == "t":
+            if not allow_t:
+                raise ValidationError("t is not allowed in this polynomial")
+            exps, c = const, TPoly.t()
         elif kind == "var":
-            take()
-            base = TPoly.t()
+            i = int(val[1:])
+            if i >= nvars:
+                where = f"dimension {nvars - 1}" if nvars else "a polynomial in t"
+                raise ValidationError(f"variable {val} out of range for {where}")
+            exps, c = tuple(int(j == i) for j in range(nvars)), TPoly.const(1)
         else:
-            raise ValueError("expected integer or t")
+            raise ValidationError("expected integer, variable or t")
         if peek() == ("op", "^"):
             take()
             kind, val = take()
             if kind != "int" or int(val) < 1:
-                raise ValueError("^ needs a positive integer exponent")
-            base = base ** int(val)
-        return base
+                raise ValidationError("^ needs a positive integer exponent")
+            exps, c = tuple(e * int(val) for e in exps), c ** int(val)
+        return exps, c
 
-    def term() -> TPoly:
-        out = factor()
+    def term():
+        exps, c = factor()
         while peek() == ("op", "*"):
             take()
-            out = out * factor()
-        return out
+            e2, c2 = factor()
+            exps, c = tuple(x + y for x, y in zip(exps, e2)), c * c2
+        return exps, c
 
-    def expr() -> TPoly:
-        sign = 1
-        if peek() == ("op", "-"):
-            take()
-            sign = -1
-        elif peek() == ("op", "+"):
-            take()
-        out = sign * term()
-        while peek()[0] == "op" and peek()[1] in "+-":
-            _, op = take()
-            nxt = term()
-            out = out + nxt if op == "+" else out - nxt
-        return out
-
-    if not tokens:
-        raise ValueError("empty polynomial")
-    out = expr()
+    signs = {("op", "+"): 1, ("op", "-"): -1}
+    sign = signs[take()] if peek() in signs else 1
+    out: dict = {}
+    while True:
+        exps, c = term()
+        out[exps] = out.get(exps, TPoly()) + sign * c
+        if peek() not in signs:
+            break
+        sign = signs[take()]
     if idx != len(tokens):
-        raise ValueError("trailing tokens in polynomial")
-    return out
+        raise ValidationError("trailing tokens in polynomial")
+    return {e: c for e, c in out.items() if not c.is_zero}
+
+
+def parse_tpoly(text: str) -> TPoly:
+    """Parse an integer polynomial in t, e.g. "2*t^3 - t + 5" (see parse_terms)."""
+    return parse_terms(text, 0, allow_t=True).get((), TPoly())

@@ -215,6 +215,28 @@ def test_determinism_byte_identical(files, tmp_path):
     assert models[0] == models[1]
 
 
+SOLVE = ["fibral", "solve", "--actions", "[[1,0],[0,1]]"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["green", "--system", "{monomial}", "--point", "2:1", "--place", "p4"],
+        ["local", "--system", "{monomial}", "--point", "2:1", "--place", "foo"],
+        ["green", "--system", "{monomial}", "--point", "a:1"],
+        ["sweep", "--system", "{x2pt}", "--t", "1..x"],
+        ["sweep", "--system", "{x2pt}", "--t", "1/0"],
+        SOLVE + ["--alpha", "x", "--c", "1"],
+        SOLVE + ["--alpha", "5", "--c", "x"],
+    ],
+    ids=["place-p4", "place-foo", "lift-a", "t-range", "t-zero-denominator", "alpha", "c"],
+)
+def test_bad_arguments_exit_2(files, args):
+    code, _out, err = run_cli(*[a.format(**files) for a in args])
+    assert code == 2 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_main_entry_point(files, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--system", files["bad"]])

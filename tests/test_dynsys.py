@@ -8,14 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from dynheight.dynsys import (
     Morphism,
-    bad_primes,
     commutes,
     compose,
-    morphism_eval,
     parse_homog,
-    resultant_p1,
     validate_system,
-    words,
 )
 from dynheight.errors import IndeterminatePointError, ValidationError
 from dynheight.projective import normalize, parse_point
@@ -84,10 +80,10 @@ def test_parser_grammar():
 
 
 def test_morphism_eval_examples():
-    assert morphism_eval(X2, parse_point("2:1")).coords == (4, 1)
-    assert morphism_eval(X2P1, parse_point("2:1")).coords == (5, 1)
+    assert X2.apply(parse_point("2:1")).coords == (4, 1)
+    assert X2P1.apply(parse_point("2:1")).coords == (5, 1)
     with pytest.raises(IndeterminatePointError, match="indeterminate point"):
-        morphism_eval(m("X0^2", "X0*X1"), parse_point("0:1"))
+        m("X0^2", "X0*X1").apply(parse_point("0:1"))
 
 
 def test_compose_examples():
@@ -101,14 +97,14 @@ def test_compose_examples():
 def test_resultant_examples():
     # frozen values cross-checked against an independent Fraction-Gaussian determinant
     for f, expected in [(X2, 1), (m("X0^2+X1^2", "X1^2"), 1), (m("X0^2", "4*X1^2", norm=False), 16)]:
-        assert resultant_p1(f) == expected
+        assert f.resultant() == expected
         assert _det_fraction_oracle(_sylvester_rows(f)) == expected
 
 
 def test_bad_primes_examples():
-    assert bad_primes(validate_system([X2, X3])) == []
-    assert bad_primes(validate_system([m("X0^2", "4*X1^2", norm=False)])) == [2]
-    assert bad_primes(validate_system([X2P1])) == []
+    assert validate_system([X2, X3]).bad_primes() == []
+    assert validate_system([m("X0^2", "4*X1^2", norm=False)]).bad_primes() == [2]
+    assert validate_system([X2P1]).bad_primes() == []
 
 
 def test_commutes_examples():
@@ -164,8 +160,8 @@ def test_eval_compose_compatibility():
                 continue
             p = normalize(raw)
             try:
-                lhs = morphism_eval(fg, p)
-                rhs = morphism_eval(f, morphism_eval(g, p))
+                lhs = fg.apply(p)
+                rhs = f.apply(g.apply(p))
             except IndeterminatePointError:
                 continue
             assert lhs == rhs
@@ -177,7 +173,7 @@ def test_resultant_of_composition_nonzero():
         f, g = _random_morphism(rng), _random_morphism(rng)
         fg = compose(f, g)
         assert fg.degree == f.degree * g.degree
-        assert resultant_p1(fg) != 0
+        assert fg.resultant() != 0
 
 
 @given(st.integers(-50, 50).filter(lambda v: v != 0))
@@ -187,12 +183,6 @@ def test_commutes_symmetric_and_scale_invariant(c):
     assert commutes(scaled, T3) == commutes(T3, scaled) is True
     scaled_bad = Morphism([p.scale(c) for p in X2P1.lift], normalize=False)
     assert commutes(scaled_bad, X3) == commutes(X3, scaled_bad) is False
-
-
-def test_words_enumeration():
-    ws = list(words(2, 3))
-    assert len(ws) == 8
-    assert ws[0].letters == (0, 0, 0) and ws[-1].letters == (1, 1, 1)
 
 
 def test_canonical_lift_scaling():

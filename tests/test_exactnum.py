@@ -54,6 +54,14 @@ def test_prime_factors():
     assert prime_factors(1) == {}
 
 
+def test_prime_factors_large_prime_powers():
+    # Squares of primes above the trial-division bound are split as perfect
+    # powers; Pollard rho alone needs about sqrt(p) steps on them.
+    assert prime_factors(100000007**2) == {100000007: 2}
+    assert prime_factors((2**61 - 1) ** 2) == {2**61 - 1: 2}
+    assert prime_factors(1000003**3 * 1000033) == {1000003: 3, 1000033: 1}
+
+
 nonzero_rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**6
 ).filter(lambda q: q != 0)
@@ -76,3 +84,8 @@ def test_log_abs_additive(q1, q2):
 
 def test_is_prime_small():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    # A Carmichael number and the least strong pseudoprimes to the first 11
+    # and the first 12 prime bases; the 13-base test rejects them all.
+    for n in (561, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(10**14 + 31)

@@ -1,10 +1,14 @@
 """Exact polynomial arithmetic in t and the fraction-free linear algebra."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from dynheight.cli import main
+from dynheight.dynsys import parse_homog
+from dynheight.errors import ValidationError
 from dynheight.linalg import det_int, det_tpoly, solve_exact
 from dynheight.polynomial import TPoly, parse_tpoly
 
@@ -41,12 +45,34 @@ def test_parse_and_render():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         parse_tpoly("t^-1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         parse_tpoly("x + 1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         parse_tpoly("")
+
+
+@pytest.mark.parametrize("text", ["X0^", "t^", "", "t^0", "2**t", "t^-1", "(t)", "t + x"])
+def test_one_grammar_rejects_malformed(text, tmp_path, capsys):
+    # Lifts and sections share one grammar: the same strings fail the same
+    # way, and the CLI turns the failure into exit 2, not a traceback.
+    with pytest.raises(ValidationError):
+        parse_homog(text, 2, allow_t=True)
+    with pytest.raises(ValidationError):
+        parse_tpoly(text)
+    docs = [
+        {"space": {"dim": 1}, "maps": [{"lift": ["X0^2", "t*X1^2"]}], "section": [text, "1"]},
+        {"space": {"dim": 1}, "maps": [{"lift": [text, "X1^2"]}], "section": ["1", "1"]},
+        {"space": {"dim": 1}, "maps": [{"lift": ["X0^2 + t*X1^", "X1^2"]}]},
+    ]
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"family{i}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--system", str(path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_eval_exact():
