@@ -36,7 +36,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -49,7 +48,7 @@ from .errors import (
 )
 from .exactnum import INFINITY, Place, log_abs, ord_p
 from .dynsys import Morphism, PolarizedSystem, commutes
-from .projective import ProjPointQ
+from .projective import ProjPointQ, weil_height
 
 __all__ = [
     "GreenConfig",
@@ -103,11 +102,13 @@ class GreenConfig:
         if self.target_eps <= 0:
             raise ValidationError("target_eps must be positive")
 
-    def resolved_budget(self) -> int:
-        if self.node_budget is not None:
-            return self.node_budget
-        env = os.environ.get(BUDGET_ENV_VAR)
-        return int(env) if env else DEFAULT_NODE_BUDGET
+
+def resolve_budget(node_budget: int | None) -> int:
+    """node_budget if given, else $DYNHEIGHT_NODE_BUDGET, else the default."""
+    if node_budget is not None:
+        return node_budget
+    env = os.environ.get(BUDGET_ENV_VAR)
+    return int(env) if env else DEFAULT_NODE_BUDGET
 
 
 def charge_level(nodes: int, k: int, m: int, budget: int) -> int:
@@ -170,8 +171,11 @@ class OracleResult:
 def _np_terms(m: Morphism):
     if m._np_cache is None:
         per_coord = []
-        for p in m.lift:
-            per_coord.append([(float(c), exps) for exps, c in p.sorted_terms()])
+        try:
+            for p in m.lift:
+                per_coord.append([(float(c), exps) for exps, c in p.sorted_terms()])
+        except OverflowError as exc:
+            raise ValidationError("lift coefficient is too large for a float") from exc
         m._np_cache = per_coord
     return m._np_cache
 
@@ -214,7 +218,7 @@ def _green_arch(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProfi
     nvars = len(coords)
     total = math.log(sup)
     x = np.array([[float(Fraction(c, sup)) for c in coords]])
-    budget = cfg.resolved_budget()
+    budget = resolve_budget(cfg.node_budget)
     increments: list[float] = []
     chat = 0.0
     nodes = 0
@@ -271,7 +275,7 @@ def _padic_walk(
     states: dict[tuple, int] = {(start, prec0): 1}
     exact = Fraction(-e0)
     lnp = math.log(p)
-    budget = cfg.resolved_budget()
+    budget = resolve_budget(cfg.node_budget)
     if system.dim == 1:
         res_bound = sum(ord_p(r, p) for r in system.resultants())
         chat = float(Fraction(res_bound, alpha)) * lnp
@@ -395,19 +399,6 @@ def canonical_height(
     return CanonicalHeightResult(value, tail, per_place, depth_used)
 
 
-def _normalized_int_tuple(vals) -> tuple[int, ...]:
-    if all(v == 0 for v in vals):
-        raise IndeterminatePointError("indeterminate point")
-    g = 0
-    for v in vals:
-        g = gcd(g, v)
-    out = [v // g for v in vals]
-    first = next(v for v in out if v)
-    if first < 0:
-        out = [-v for v in out]
-    return tuple(out)
-
-
 def canonical_height_oracle_detailed(
     system: PolarizedSystem, point: ProjPointQ, n: int, node_budget: int | None = None
 ) -> OracleResult:
@@ -424,30 +415,30 @@ def canonical_height_oracle_detailed(
     if n < 0:
         raise ValidationError("depth must be nonnegative")
     k, alpha = system.k, system.alpha
-    budget = node_budget or GreenConfig().resolved_budget()
-    h_cache: dict[tuple[int, ...], float] = {}
+    budget = resolve_budget(node_budget)
+    h_cache: dict[ProjPointQ, float] = {}
 
-    def naive(coords: tuple[int, ...]) -> float:
-        if coords not in h_cache:
-            h_cache[coords] = math.log(max(abs(c) for c in coords))
-        return h_cache[coords]
+    def naive(pt: ProjPointQ) -> float:
+        if pt not in h_cache:
+            h_cache[pt] = weil_height(pt)
+        return h_cache[pt]
 
-    level: dict[tuple[int, ...], int] = {point.coords: 1}
+    level: dict[ProjPointQ, int] = {point: 1}
     c_measured = 0.0
     nodes = 0
     for m in range(1, n + 1):
         nodes = charge_level(nodes, k, m, budget)
-        new_level: dict[tuple[int, ...], int] = {}
-        for coords, mult in level.items():
+        new_level: dict[ProjPointQ, int] = {}
+        for pt, mult in level.items():
             child_heights = []
             for mp in system.maps:
-                child = _normalized_int_tuple(mp.eval_raw(coords))
+                child = mp.apply(pt)
                 child_heights.append(naive(child))
                 new_level[child] = new_level.get(child, 0) + mult
-            resid = abs(math.fsum(child_heights) - alpha * naive(coords))
+            resid = abs(math.fsum(child_heights) - alpha * naive(pt))
             c_measured = max(c_measured, resid)
         level = new_level
-    value = math.fsum(float(mult) * naive(coords) for coords, mult in level.items())
+    value = math.fsum(float(mult) * naive(pt) for pt, mult in level.items())
     value /= float(alpha**n)
     tail = (k / alpha) ** n * c_measured / (alpha - k) + FLOAT_SLACK * (1.0 + abs(value))
     return OracleResult(value, tail, n, c_measured)
@@ -539,14 +530,14 @@ def forward_orbit(
 ) -> tuple[set[tuple[int, ...]], bool]:
     """Breadth-first forward orbit under all maps; closed=False on budget."""
     seen = {point.coords}
-    frontier = [point.coords]
+    frontier = [point]
     while frontier:
-        coords = frontier.pop()
+        pt = frontier.pop()
         for mp in system.maps:
-            child = _normalized_int_tuple(mp.eval_raw(coords))
-            if child not in seen:
+            child = mp.apply(pt)
+            if child.coords not in seen:
                 if len(seen) >= max_points:
                     return seen, False
-                seen.add(child)
+                seen.add(child.coords)
                 frontier.append(child)
     return seen, True

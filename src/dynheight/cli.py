@@ -19,7 +19,6 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 
 import click
@@ -35,7 +34,7 @@ from .canonical import (
 )
 from .dynsys import Morphism, PolarizedSystem, validate_system
 from .errors import DynHeightError, ValidationError
-from .exactnum import Place
+from .exactnum import Place, clear_denominators
 from .family import (
     ParamSystem,
     Section,
@@ -114,8 +113,8 @@ def _family_section(sf: SystemFile, point_text: str | None) -> tuple[ParamSystem
 
 def _green_cfg(depth: int | None, eps: float | None) -> GreenConfig:
     if eps is not None:
-        return GreenConfig(depth=depth or 60, target_eps=eps, mode="adaptive")
-    return GreenConfig(depth=depth or 20, mode="fixed")
+        return GreenConfig(depth=60 if depth is None else depth, target_eps=eps, mode="adaptive")
+    return GreenConfig(depth=20 if depth is None else depth, mode="fixed")
 
 
 def _rational(text: str, what: str) -> Fraction:
@@ -127,9 +126,7 @@ def _rational(text: str, what: str) -> Fraction:
 
 def _lift_coords(text: str) -> tuple[int, ...]:
     # Lift coordinates keep their scaling: clear denominators, nothing else.
-    vals = [_rational(p, "lift coordinate") for p in text.split(":")]
-    scale = lcm(*(v.denominator for v in vals))
-    return tuple(int(v * scale) for v in vals)
+    return tuple(clear_denominators(_rational(p, "lift coordinate") for p in text.split(":")))
 
 
 def _parse_t_samples(text: str) -> list[Fraction]:

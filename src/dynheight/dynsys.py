@@ -43,18 +43,8 @@ __all__ = [
     "validate_system",
 ]
 
-def _czero(c) -> bool:
-    return c.is_zero if isinstance(c, TPoly) else c == 0
-
-
 def _ccontent(c) -> int:
     return c.content() if isinstance(c, TPoly) else abs(c)
-
-
-def _cdiv(c, g: int):
-    if isinstance(c, TPoly):
-        return TPoly(tuple(v // g for v in c.c))
-    return c // g
 
 
 def _clead(c) -> int:
@@ -78,7 +68,7 @@ class HomogPoly:
         clean = {}
         degree = None
         for exps, c in terms.items():
-            if _czero(c):
+            if c == 0:
                 continue
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
@@ -143,7 +133,7 @@ class HomogPoly:
         return self + (-other)
 
     def scale(self, s) -> "HomogPoly":
-        if _czero(s):
+        if s == 0:
             return HomogPoly.zero(self.nvars)
         return HomogPoly(self.nvars, {e: c * s for e, c in self.terms.items()})
 
@@ -285,9 +275,6 @@ class Morphism:
     def has_param(self) -> bool:
         return any(p.has_param for p in self.lift)
 
-    def canonical_key(self):
-        return tuple(p._key() for p in _canonical_lift(self.lift))
-
     def __eq__(self, other):
         if not isinstance(other, Morphism):
             return NotImplemented
@@ -327,15 +314,8 @@ class Morphism:
         """Evaluate on Q(t)-coordinates and renormalize to a coprime tuple."""
         if point.dim != self.dim:
             raise ValidationError("dimension mismatch")
-        coords = point.coords
-        vals = []
-        for p in self.lift:
-            if p.is_zero:
-                vals.append(TPoly())
-                continue
-            v = p.eval(coords)
-            vals.append(v if isinstance(v, TPoly) else TPoly.const(v))
-        if all(v.is_zero for v in vals):
+        vals = self.eval_raw(point.coords)
+        if all(v == 0 for v in vals):
             raise IndeterminatePointError("indeterminate point")
         return normalize_ff(vals)
 
@@ -380,8 +360,7 @@ class Morphism:
         """Substitute t = t0 and clear denominators to a canonical integer lift."""
         t0 = Fraction(t0)
         rational = [p.specialize_t(t0) for p in self.lift]
-        dens = [c.denominator for terms in rational for c in terms.values()]
-        scale = lcm(*dens) if dens else 1
+        scale = lcm(*(c.denominator for terms in rational for c in terms.values()))
         lift = []
         for terms in rational:
             lift.append(
@@ -422,7 +401,7 @@ def _canonical_lift(lift: tuple) -> tuple:
         return tuple(lift)
     out = []
     for p in lift:
-        out.append(HomogPoly(p.nvars, {e: _cdiv(c, g) * sign for e, c in p.terms.items()}))
+        out.append(HomogPoly(p.nvars, {e: c // g * sign for e, c in p.terms.items()}))
     return tuple(out)
 
 
@@ -484,7 +463,5 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
 
 
 def commutes(f: Morphism, g: Morphism) -> bool:
-    """True when f∘g and g∘f have proportional lifts."""
-    if f.nvars != g.nvars:
-        raise ValidationError("dimension mismatch")
-    return f.compose(g).canonical_key() == g.compose(f).canonical_key()
+    """True when f∘g and g∘f have proportional lifts (compose returns canonical ones)."""
+    return f.compose(g) == g.compose(f)

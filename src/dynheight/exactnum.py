@@ -31,6 +31,7 @@ __all__ = [
     "support",
     "is_prime",
     "prime_factors",
+    "clear_denominators",
 ]
 
 
@@ -81,9 +82,7 @@ def _perfect_power(n: int) -> tuple[int, int]:
 
 
 def _pollard_rho(n: int) -> int:
-    # Brent's variant; n odd composite and not a perfect power.
-    if n % 2 == 0:
-        return 2
+    # n composite, not a perfect power and free of the primes in _MR_BASES.
     for c in range(1, 64):
         x = y = 2
         d = 1
@@ -103,18 +102,11 @@ def prime_factors(n: int) -> dict[int, int]:
         raise ValueError("cannot factor zero")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _MR_BASES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    d = 7
-    while d * d <= n and d < 10**6:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 2
-    # Anything left has no prime factor below d.
-    stack = [n] if n > 1 else []
+    stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:
@@ -129,6 +121,13 @@ def prime_factors(n: int) -> dict[int, int]:
             d = _pollard_rho(m)
             stack.extend((d, m // d))
     return out
+
+
+def clear_denominators(vals) -> list[int]:
+    """The rationals vals times the lcm of their denominators, as integers."""
+    vals = [Fraction(v) for v in vals]
+    scale = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (scale // v.denominator) for v in vals]
 
 
 @dataclass(frozen=True)

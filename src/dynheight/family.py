@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonical import (
-    DEFAULT_NODE_BUDGET,
     GreenConfig,
     canonical_height,
     canonical_local_height,
     charge_level,
+    resolve_budget,
 )
 from .dynsys import Morphism, PolarizedSystem, validate_system
 from .errors import (
@@ -153,18 +153,19 @@ class FFHeightResult:
 
 
 def ff_canonical_height(
-    system: ParamSystem, section: Section, n: int, node_budget: int = DEFAULT_NODE_BUDGET
+    system: ParamSystem, section: Section, n: int, node_budget: int | None = None
 ) -> FFHeightResult:
     """Exact word iteration of the section over Q(t), averaged by alpha^n."""
     if n < 0:
         raise ValidationError("depth must be nonnegative")
     k, alpha = system.k, system.alpha
+    budget = resolve_budget(node_budget)
     level: dict[tuple, int] = {section.point.coords: 1}
     prev = Fraction(ff_height(section.point))
     value = prev
     nodes = 0
     for m in range(1, n + 1):
-        nodes = charge_level(nodes, k, m, node_budget)
+        nodes = charge_level(nodes, k, m, budget)
         new_level: dict[tuple, int] = {}
         for coords, mult in level.items():
             point = ProjPointFF(coords)

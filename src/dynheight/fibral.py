@@ -81,6 +81,8 @@ class PermTypeMatrix:
 
 def is_perm_type(rows) -> bool:
     """True when the square 0/1 matrix has exactly one 1 in each column."""
+    if not isinstance(rows, (list, tuple)) or any(not isinstance(r, (list, tuple)) for r in rows):
+        return False
     n = len(rows)
     if any(len(r) != n for r in rows):
         return False
@@ -296,8 +298,12 @@ def random_synthetic(
     seed: int, max_components: int = 6, max_maps: int = 3, max_points: int = 40
 ) -> SyntheticModel:
     """Seeded random model; deterministic for a given seed."""
+    if min(max_components, max_maps, max_points) < 1:
+        raise ValidationError("max_components, max_maps and max_points must be at least 1")
     rng = Lcg64(seed)
     n = rng.randint(1, max_components)
+    if max_points < n:
+        raise ValidationError(f"max_points {max_points} is below the {n} components drawn")
     k = rng.randint(1, max_maps)
     # Mix the two solvability regimes: alpha in (k, nk] about half the time.
     if n > 1 and rng.below(2):

@@ -3,54 +3,66 @@
 Bareiss fraction-free elimination keeps every intermediate value in the
 ground ring (Z or Z[t]); the divisions it performs are exact by
 construction.  The rational solver clears denominators row by row, runs the
-same fraction-free forward elimination on the augmented integer matrix, and
-back-substitutes with Fractions, so results are exact rationals.
+same elimination on the augmented integer matrix, and back-substitutes with
+Fractions, so results are exact rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
+from .exactnum import clear_denominators
 from .polynomial import TPoly
 
 __all__ = ["det_int", "det_tpoly", "solve_exact"]
 
 
-def _bareiss_det(rows: list[list], one, div):
-    m = [list(r) for r in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("square matrix required")
-    if n == 0:
-        return one
-    sign = 1
-    prev = one
+def _eliminate(m: list[list]) -> int:
+    """Bareiss elimination in place on the leading square block of m.
+
+    Extra columns (an augmented right-hand side) are carried along; entries
+    below the diagonal are left stale.  Returns the sign of the row swaps,
+    so that sign * m[n-1][n-1] is the block's determinant, or 0 when the
+    block is singular.
+    """
+    n, width = len(m), len(m[0])
+    sign, prev = 1, 1
     for r in range(n - 1):
         if not m[r][r]:
             swap = next((i for i in range(r + 1, n) if m[i][r]), None)
             if swap is None:
-                return m[r][r] * 0 if isinstance(m[r][r], TPoly) else 0
+                return 0
             m[r], m[swap] = m[swap], m[r]
             sign = -sign
-        piv = m[r][r]
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                m[i][j] = div(m[i][j] * piv - m[i][r] * m[r][j], prev)
-            m[i][r] = piv * 0 if isinstance(piv, TPoly) else 0
+        row_r = m[r]
+        piv = row_r[r]
+        for row in m[r + 1:]:
+            a = row[r]
+            for j in range(r + 1, width):
+                row[j] = (row[j] * piv - a * row_r[j]) // prev
         prev = piv
-    return sign * m[n - 1][n - 1]
+    return sign if m[n - 1][n - 1] else 0
+
+
+def _det(rows: list[list], one):
+    m = [list(r) for r in rows]
+    if any(len(r) != len(m) for r in m):
+        raise ValueError("square matrix required")
+    if not m:
+        return one
+    sign = _eliminate(m)
+    return sign * m[-1][-1]
 
 
 def det_int(rows: list[list[int]]) -> int:
     """Exact determinant of an integer matrix."""
-    return _bareiss_det(rows, 1, lambda a, b: a // b)
+    return _det(rows, 1)
 
 
 def det_tpoly(rows: list[list[TPoly | int]]) -> TPoly:
     """Exact determinant of a matrix over Z[t]; int entries are coerced."""
     coerced = [[e if isinstance(e, TPoly) else TPoly.const(e) for e in r] for r in rows]
-    return _bareiss_det(coerced, TPoly.const(1), lambda a, b: a.divexact(b))
+    return _det(coerced, TPoly.const(1))
 
 
 def solve_exact(a_rows: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
@@ -61,26 +73,8 @@ def solve_exact(a_rows: list[list[Fraction]], b: list[Fraction]) -> list[Fractio
     if n == 0:
         return []
     # Clear denominators row by row: integer augmented matrix, same solution.
-    aug: list[list[int]] = []
-    for row, rhs in zip(a_rows, b):
-        entries = [Fraction(v) for v in row] + [Fraction(rhs)]
-        scale = lcm(*(v.denominator for v in entries))
-        aug.append([int(v * scale) for v in entries])
-    # Fraction-free forward elimination (Bareiss) on the augmented matrix.
-    prev = 1
-    for r in range(n - 1):
-        if aug[r][r] == 0:
-            swap = next((i for i in range(r + 1, n) if aug[i][r]), None)
-            if swap is None:
-                return None
-            aug[r], aug[swap] = aug[swap], aug[r]
-        piv = aug[r][r]
-        for i in range(r + 1, n):
-            for j in range(r + 1, n + 1):
-                aug[i][j] = (aug[i][j] * piv - aug[i][r] * aug[r][j]) // prev
-            aug[i][r] = 0
-        prev = piv
-    if aug[n - 1][n - 1] == 0:
+    aug = [clear_denominators([*row, rhs]) for row, rhs in zip(a_rows, b)]
+    if not _eliminate(aug):
         return None
     # Exact back substitution in Fractions.
     x: list[Fraction] = [Fraction(0)] * n

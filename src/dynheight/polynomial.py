@@ -179,6 +179,8 @@ class TPoly:
             raise ArithmeticError("inexact polynomial division")
         return TPoly(out)
 
+    __floordiv__ = divexact
+
     def pseudo_rem(self, other: "TPoly") -> "TPoly":
         """Pseudo-remainder of lead(other)^(deg diff + 1) * self by other."""
         if other.is_zero:

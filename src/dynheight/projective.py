@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import PointOnDivisorError, ValidationError
-from .exactnum import Place, ord_p
+from .exactnum import Place, clear_denominators, ord_p
 from .polynomial import TPoly
 
 __all__ = [
@@ -81,14 +81,10 @@ def normalize(raw) -> ProjPointQ:
     Clears denominators, divides by the coordinate gcd and fixes the sign of
     the first nonzero coordinate to be positive.
     """
-    vals = [Fraction(v) for v in raw]
-    if not vals or all(v == 0 for v in vals):
+    ints = clear_denominators(raw)
+    if not any(ints):
         raise ValidationError("not a projective point")
-    scale = lcm(*(v.denominator for v in vals))
-    ints = [int(v * scale) for v in vals]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    g = gcd(*ints)
     ints = [v // g for v in ints]
     first = next(v for v in ints if v != 0)
     if first < 0:
@@ -143,12 +139,10 @@ def normalize_ff(raw) -> ProjPointFF:
         if g.degree == 0:
             break
     if g.degree > 0:
-        polys = [p.divexact(g) for p in polys]
-    content = 0
-    for p in polys:
-        content = gcd(content, p.content())
+        polys = [p // g for p in polys]
+    content = gcd(*(p.content() for p in polys))
     if content > 1:
-        polys = [TPoly(tuple(v // content for v in p.c)) for p in polys]
+        polys = [p // content for p in polys]
     first = next(p for p in polys if not p.is_zero)
     if first.lead < 0:
         polys = [-p for p in polys]

@@ -25,6 +25,7 @@ from dynheight.errors import (
     PointOnDivisorError,
 )
 from dynheight.exactnum import INFINITY, Place
+from dynheight.family import ParamSystem, Section, ff_canonical_height
 from dynheight.projective import normalize, parse_point, weil_height
 
 
@@ -282,12 +283,19 @@ def test_budget_exceeded():
         green_local(MONOMIAL, (2, 1), INFINITY, GreenConfig(depth=30, node_budget=1000))
     with pytest.raises(BudgetExceededError):
         canonical_height_oracle_detailed(MONOMIAL, parse_point("2:1"), 30, node_budget=1000)
+    # A budget of 0 is a budget, not "unset".
+    with pytest.raises(BudgetExceededError):
+        canonical_height_oracle_detailed(MONOMIAL, parse_point("2:1"), 1, node_budget=0)
 
 
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("DYNHEIGHT_NODE_BUDGET", "100")
     with pytest.raises(BudgetExceededError):
         green_local(MONOMIAL, (2, 1), INFINITY, GreenConfig(depth=10))
+    lifts = (["X0^2+t*X1^2", "X1^2"], ["X0^3", "X1^3"])
+    family = ParamSystem.build([Morphism.from_strings(p, dim=1, allow_t=True) for p in lifts])
+    with pytest.raises(BudgetExceededError):
+        ff_canonical_height(family, Section.from_strings(["0", "1"]), 8)
     monkeypatch.setenv("DYNHEIGHT_NODE_BUDGET", "10000000")
     assert green_local(MONOMIAL, (2, 1), INFINITY, GreenConfig(depth=10)) == pytest.approx(
         math.log(2)

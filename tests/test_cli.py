@@ -2,12 +2,17 @@
 
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
+import click
 import pytest
 
-from dynheight.cli import load_system_file, main
+from dynheight.cli import cli, load_system_file, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MONOMIAL_DOC = {"space": {"dim": 1}, "maps": [{"lift": ["X0^2", "X1^2"]}, {"lift": ["X0^3", "X1^3"]}]}
 X6_DOC = {"space": {"dim": 1}, "maps": [{"lift": ["X0^6", "X1^6"]}]}
@@ -228,8 +233,19 @@ SOLVE = ["fibral", "solve", "--actions", "[[1,0],[0,1]]"]
         ["sweep", "--system", "{x2pt}", "--t", "1/0"],
         SOLVE + ["--alpha", "x", "--c", "1"],
         SOLVE + ["--alpha", "5", "--c", "x"],
+        ["fibral", "solve", "--alpha", "5", "--actions", "5", "--c", "1"],
+        ["fibral", "synth", "--seed", "1", "--components", "0"],
+        ["fibral", "synth", "--seed", "1", "--maps", "0"],
+        ["fibral", "synth", "--seed", "1", "--points", "0"],
+        ["fibral", "synth", "--seed", "0", "--points", "3"],
+        ["height", "--system", "{monomial}", "--point", "2:1", "--depth", "0"],
+        ["sweep", "--system", "{x2pt}", "--t", "1e400"],
     ],
-    ids=["place-p4", "place-foo", "lift-a", "t-range", "t-zero-denominator", "alpha", "c"],
+    ids=[
+        "place-p4", "place-foo", "lift-a", "t-range", "t-zero-denominator", "alpha", "c",
+        "actions-not-matrix", "components-0", "maps-0", "points-0", "points-below-components",
+        "depth-0", "huge-coefficient",
+    ],
 )
 def test_bad_arguments_exit_2(files, args):
     code, _out, err = run_cli(*[a.format(**files) for a in args])
@@ -241,3 +257,22 @@ def test_main_entry_point(files, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--system", files["bad"]])
     assert exc.value.code == 2
+
+
+def test_readme_examples_parse():
+    # Parse, without running, every CLI example in the README.
+    lines = [
+        line.strip() for line in (ROOT / "README.md").read_text().splitlines()
+        if line.startswith("    dynheight ")
+    ]
+    assert len(lines) >= 12
+    for line in lines:
+        args = shlex.split(line)[1:]
+        cmd, name = cli, "dynheight"
+        while isinstance(cmd, click.Group):
+            name, args = args[0], args[1:]
+            cmd = cmd.commands[name]
+        ctx = cmd.make_context(name, args)
+        for key in ("system_path", "other_path"):
+            if ctx.params.get(key):
+                assert (ROOT / ctx.params[key]).exists(), line

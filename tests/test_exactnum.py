@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from dynheight.exactnum import (
     INFINITY,
     Place,
+    clear_denominators,
     is_prime,
     log_abs,
     ord_p,
@@ -52,6 +53,26 @@ def test_prime_factors():
     assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
     assert prime_factors(-7) == {7: 1}
     assert prime_factors(1) == {}
+    # Past the primes up to 41 only Pollard rho and the perfect-power split
+    # remain; compare with plain trial division.
+    for n in range(1, 20001):
+        expected, m, d = {}, n, 2
+        while d * d <= m:
+            while m % d == 0:
+                expected[d] = expected.get(d, 0) + 1
+                m //= d
+            d += 1
+        if m > 1:
+            expected[m] = expected.get(m, 0) + 1
+        assert prime_factors(n) == expected, n
+    assert prime_factors(43 * 47) == {43: 1, 47: 1}
+    assert prime_factors(43**2 * 47) == {43: 2, 47: 1}
+    # 1150013 = 19 * 60527
+    assert prime_factors(1150013 * 1100009) == {19: 1, 60527: 1, 1100009: 1}
+
+
+def test_clear_denominators():
+    assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 5]) == [3, -4, 30]
 
 
 def test_prime_factors_large_prime_powers():

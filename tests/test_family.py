@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dynheight.canonical import GreenConfig
+from dynheight.canonical import GreenConfig, canonical_height
 from dynheight.dynsys import Morphism
 from dynheight.errors import BadParameterError, ValidationError
 from dynheight.exactnum import INFINITY, Place
@@ -22,7 +22,7 @@ from dynheight.family import (
     variation_sweep,
 )
 from dynheight.polynomial import parse_tpoly
-from dynheight.projective import ff_height
+from dynheight.projective import ff_height, parse_point
 
 ADAPTIVE = GreenConfig(depth=40, mode="adaptive", target_eps=1e-9)
 
@@ -104,6 +104,12 @@ def test_ff_canonical_height_examples():
     r3 = ff_canonical_height(X2PT, Section.from_strings(["1", "0"]), 6)
     assert r3.value == Fraction(0)
     assert ff_canonical_height(CONST_MONOMIAL, Section.from_strings(["2", "1"]), 4).value == 0
+
+
+def test_huge_fiber_coefficient_rejected():
+    fiber = specialize(X2PT, Fraction(10**400))
+    with pytest.raises(ValidationError, match="too large for a float"):
+        canonical_height(fiber, parse_point("0:1"))
 
 
 def test_variation_sweep_constant_family_exact_zero():

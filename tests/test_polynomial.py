@@ -115,6 +115,22 @@ def test_det_tpoly():
     t = TPoly.t()
     rows = [[t, TPoly.const(1)], [TPoly.const(1), t]]
     assert det_tpoly(rows) == parse_tpoly("t^2 - 1")
+    # A zero first pivot forces a row swap, which flips the sign.
+    one, zero = TPoly.const(1), TPoly()
+    assert det_tpoly([[zero, t, one], [one, zero, t], [t, one, zero]]) == parse_tpoly("t^3 + 1")
+    singular = det_tpoly([[t, one], [t * t, t]])
+    assert isinstance(singular, TPoly) and singular.is_zero
+    assert det_tpoly([[0, one], [0, t]]) == TPoly()
+
+
+def test_tpoly_floordiv_is_exact():
+    t = TPoly.t()
+    assert parse_tpoly("6*t^2 - 4") // 2 == parse_tpoly("3*t^2 - 2")
+    assert parse_tpoly("t^2 - 1") // (t - 1) == t + 1
+    with pytest.raises(ArithmeticError):
+        parse_tpoly("3*t + 1") // 2
+    with pytest.raises(ArithmeticError):
+        (t * t + 1) // (t - 1)
 
 
 def test_solve_exact():
@@ -124,6 +140,8 @@ def test_solve_exact():
     assert x == [Fraction(1), Fraction(3)]
     singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert solve_exact(singular, b) is None
+    # A zero last right-hand side is not a zero pivot.
+    assert solve_exact([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(3)]], [2, 0]) == [2, 0]
 
 
 @given(
