@@ -13,7 +13,6 @@ from dynheight import (
     GreenConfig,
     Morphism,
     canonical_height,
-    compose,
     height_equality_report,
     metric_equality_report,
     normalize,
@@ -38,7 +37,7 @@ def main():
     t2 = mk("X0^2-2*X1^2", "X1^2")
     t3 = mk("X0^3-3*X0*X1^2", "X1^3")
     cheb = validate_system([t2, t3])
-    cheb6 = validate_system([compose(t2, t3)])
+    cheb6 = validate_system([t2.compose(t3)])
 
     rng = Lcg64(args.seed)
     lifts = []

@@ -8,7 +8,6 @@ from .canonical import (
     GreenProfile,
     OracleResult,
     canonical_height,
-    canonical_height_oracle,
     canonical_height_oracle_detailed,
     canonical_local_height,
     forward_orbit,
@@ -23,7 +22,6 @@ from .dynsys import (
     Morphism,
     PolarizedSystem,
     commutes,
-    compose,
     parse_homog,
     validate_system,
 )

@@ -32,6 +32,7 @@ float-accumulation allowance is added on top.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -58,7 +59,6 @@ __all__ = [
     "green_local",
     "green_profile",
     "canonical_height",
-    "canonical_height_oracle",
     "canonical_height_oracle_detailed",
     "canonical_local_height",
     "functional_eq_residual",
@@ -108,15 +108,45 @@ def resolve_budget(node_budget: int | None) -> int:
     if node_budget is not None:
         return node_budget
     env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_NODE_BUDGET
+    if not env:
+        return DEFAULT_NODE_BUDGET
+    if not env.isdecimal():
+        raise ValidationError(f"{BUDGET_ENV_VAR} must be a nonnegative integer, got {env!r}")
+    return int(env)
 
 
-def charge_level(nodes: int, k: int, m: int, budget: int) -> int:
-    """Add level m's k^m words to the node count; raise past the budget."""
-    nodes += k**m
+def charge_level(nodes: int, count: int, m: int, budget: int) -> int:
+    """Add level m's count map evaluations to the node count; raise past the budget."""
+    nodes += count
     if nodes > budget:
         raise BudgetExceededError(f"budget exceeded: depth {m} needs {nodes} nodes > {budget}")
     return nodes
+
+
+def walk(root, children, k: int, depth: int, budget: int):
+    """The word tree below root with equal states merged, level by level.
+
+    children(state) returns the k child states.  For m = 1..depth this
+    yields (m, nodes, level), where level maps each distinct state at depth
+    m to the number of words that reach it, and nodes counts the map
+    evaluations so far: k per distinct state expanded.
+    """
+    level = {root: 1}
+    nodes = 0
+    for m in range(1, depth + 1):
+        nodes = charge_level(nodes, k * len(level), m, budget)
+        nxt: dict = {}
+        for state, words in level.items():
+            for child in children(state):
+                nxt[child] = nxt.get(child, 0) + words
+        level = nxt
+        yield m, nodes, level
+
+
+def geom_tail(system: PolarizedSystem, chat: float, m: int) -> float:
+    """Geometric tail chat * r^m / (1 - r), r = k/alpha, left after m levels."""
+    ratio = system.k / system.alpha
+    return chat * ratio**m / (1.0 - ratio)
 
 
 def _converged(
@@ -126,14 +156,11 @@ def _converged(
     m = len(increments)
     if cfg.mode != "adaptive" or m < 2:
         return False
-    k, alpha = system.k, system.alpha
-    ratio = k / alpha
-    cauchy = cfg.target_eps * (alpha - k) / k
-    geom_tail = chat * ratio**m / (1.0 - ratio)
+    cauchy = cfg.target_eps * (system.alpha - system.k) / system.k
     return (
         abs(increments[-1]) < cauchy
         and abs(increments[-2]) < cauchy
-        and geom_tail < cfg.target_eps
+        and geom_tail(system, chat, m) < cfg.target_eps
     )
 
 
@@ -145,7 +172,7 @@ class GreenProfile:
     increments: list[float]
     chat: float            # one-step increment bound: certified at p, monitored at inf
     depth: int
-    nodes: int
+    nodes: int             # map evaluations charged to the node budget
     exact: Fraction | None = None   # finite places: value = exact * ln(p)
 
 
@@ -224,7 +251,7 @@ def _green_arch(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProfi
     nodes = 0
     weight = 1.0
     for m in range(1, cfg.depth + 1):
-        nodes = charge_level(nodes, k, m, budget)
+        nodes = charge_level(nodes, k * len(x), m, budget)
         children = []
         lncs = []
         for mp in system.maps:
@@ -267,15 +294,16 @@ def _unit_canonical(coords: tuple[int, ...], p: int, prec: int) -> tuple[int, ..
 def _padic_walk(
     system: PolarizedSystem, coords: tuple[int, ...], p: int, prec0: int, cfg: GreenConfig
 ) -> GreenProfile:
+    # States are (unit-canonical residues, precision).  Dividing an image by
+    # p^e leaves precision prec - e, so the valuations summed over level m
+    # are k * P(m-1) - P(m), where P(m) sums words * precision over level m.
     k, alpha = system.k, system.alpha
     e0 = min(ord_p(c, p) for c in coords if c != 0)
     pe0 = p**e0
     start = tuple((c // pe0) % p**prec0 for c in coords)
     start = _unit_canonical(start, p, prec0)
-    states: dict[tuple, int] = {(start, prec0): 1}
     exact = Fraction(-e0)
     lnp = math.log(p)
-    budget = resolve_budget(cfg.node_budget)
     if system.dim == 1:
         res_bound = sum(ord_p(r, p) for r in system.resultants())
         chat = float(Fraction(res_bound, alpha)) * lnp
@@ -283,38 +311,35 @@ def _padic_walk(
     else:
         chat = 0.0
         monitored = True
+
+    def children(state):
+        nonlocal chat
+        cs, prec = state
+        pm = p**prec
+        kids = []
+        for mp in system.maps:
+            vals = [v % pm for v in mp.eval_raw(cs)]
+            nonzero = [v for v in vals if v]
+            if not nonzero:
+                raise _PrecisionExhausted
+            e = min(ord_p(v, p) for v in nonzero)
+            nprec = prec - e
+            pe = p**e
+            pnm = p**nprec
+            kids.append((_unit_canonical(tuple((v // pe) % pnm for v in vals), p, nprec), nprec))
+        if monitored:
+            chat = max(chat, sum(prec - q for _cs, q in kids) / alpha * lnp)
+        return kids
+
     increments: list[float] = []
-    nodes = 0
-    for m in range(1, cfg.depth + 1):
-        nodes = charge_level(nodes, k, m, budget)
-        new_states: dict[tuple, int] = {}
-        level_sum = 0
-        for (cs, prec), mult in states.items():
-            pm = p**prec
-            node_sum = 0
-            for mp in system.maps:
-                vals = [v % pm for v in mp.eval_raw(cs)]
-                nonzero = [v for v in vals if v]
-                if not nonzero:
-                    raise _PrecisionExhausted
-                e = min(ord_p(v, p) for v in nonzero)
-                node_sum += e
-                nprec = prec - e
-                pe = p**e
-                pnm = p**nprec
-                child = _unit_canonical(
-                    tuple((v // pe) % pnm for v in vals), p, nprec
-                )
-                key = (child, nprec)
-                new_states[key] = new_states.get(key, 0) + mult
-            level_sum += mult * node_sum
-            if monitored:
-                chat = max(chat, node_sum / alpha * lnp)
-        step = Fraction(level_sum, alpha**m)
+    prev_p = prec0
+    levels = walk((start, prec0), children, k, cfg.depth, resolve_budget(cfg.node_budget))
+    for m, nodes, level in levels:
+        level_p = sum(words * prec for (_cs, prec), words in level.items())
+        step = Fraction(k * prev_p - level_p, alpha**m)
+        prev_p = level_p
         exact -= step
-        inc = -float(step) * lnp
-        increments.append(inc)
-        states = new_states
+        increments.append(-float(step) * lnp)
         if _converged(system, cfg, increments, chat):
             break
     return GreenProfile(float(exact) * lnp, increments, chat, len(increments), nodes, exact)
@@ -383,7 +408,6 @@ def canonical_height(
         raise ValidationError("canonical_height needs P^1 (finite places via resultants)")
     if point.dim != system.dim:
         raise ValidationError("dimension mismatch")
-    ratio = system.k / system.alpha
     profiles: list[tuple[Place, GreenProfile]] = [
         (INFINITY, _green_arch(system, point.coords, cfg))
     ]
@@ -391,9 +415,7 @@ def canonical_height(
         profiles.append((Place.prime(p), _green_padic(system, point.coords, p, cfg)))
     per_place = {place: prof.value for place, prof in profiles}
     value = math.fsum(prof.value for _place, prof in profiles)
-    tail = math.fsum(
-        prof.chat * ratio**prof.depth / (1.0 - ratio) for _place, prof in profiles
-    )
+    tail = math.fsum(geom_tail(system, prof.chat, prof.depth) for _place, prof in profiles)
     tail += FLOAT_SLACK * (1.0 + abs(value))
     depth_used = max(prof.depth for _place, prof in profiles)
     return CanonicalHeightResult(value, tail, per_place, depth_used)
@@ -414,38 +436,24 @@ def canonical_height_oracle_detailed(
         raise ValidationError("dimension mismatch")
     if n < 0:
         raise ValidationError("depth must be nonnegative")
-    k, alpha = system.k, system.alpha
-    budget = resolve_budget(node_budget)
-    h_cache: dict[ProjPointQ, float] = {}
-
-    def naive(pt: ProjPointQ) -> float:
-        if pt not in h_cache:
-            h_cache[pt] = weil_height(pt)
-        return h_cache[pt]
-
-    level: dict[ProjPointQ, int] = {point: 1}
+    alpha = system.alpha
+    naive = functools.cache(weil_height)
     c_measured = 0.0
-    nodes = 0
-    for m in range(1, n + 1):
-        nodes = charge_level(nodes, k, m, budget)
-        new_level: dict[ProjPointQ, int] = {}
-        for pt, mult in level.items():
-            child_heights = []
-            for mp in system.maps:
-                child = mp.apply(pt)
-                child_heights.append(naive(child))
-                new_level[child] = new_level.get(child, 0) + mult
-            resid = abs(math.fsum(child_heights) - alpha * naive(pt))
-            c_measured = max(c_measured, resid)
-        level = new_level
+
+    def children(pt: ProjPointQ) -> list[ProjPointQ]:
+        nonlocal c_measured
+        kids = [mp.apply(pt) for mp in system.maps]
+        resid = abs(math.fsum(naive(q) for q in kids) - alpha * naive(pt))
+        c_measured = max(c_measured, resid)
+        return kids
+
+    level = {point: 1}
+    for _m, _nodes, level in walk(point, children, system.k, n, resolve_budget(node_budget)):
+        pass
     value = math.fsum(float(mult) * naive(pt) for pt, mult in level.items())
     value /= float(alpha**n)
-    tail = (k / alpha) ** n * c_measured / (alpha - k) + FLOAT_SLACK * (1.0 + abs(value))
+    tail = geom_tail(system, c_measured / alpha, n) + FLOAT_SLACK * (1.0 + abs(value))
     return OracleResult(value, tail, n, c_measured)
-
-
-def canonical_height_oracle(system: PolarizedSystem, point: ProjPointQ, n: int) -> float:
-    return canonical_height_oracle_detailed(system, point, n).value
 
 
 def canonical_local_height(

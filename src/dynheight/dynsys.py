@@ -38,7 +38,6 @@ __all__ = [
     "Morphism",
     "PolarizedSystem",
     "parse_homog",
-    "compose",
     "commutes",
     "validate_system",
 ]
@@ -456,10 +455,6 @@ def validate_system(maps) -> PolarizedSystem:
             if m.resultant() == 0:
                 raise ValidationError(f"not a morphism: zero resultant for {m}")
     return PolarizedSystem(maps=maps, k=k, alpha=alpha, dim=dim)
-
-
-def compose(f: Morphism, g: Morphism) -> Morphism:
-    return f.compose(g)
 
 
 def commutes(f: Morphism, g: Morphism) -> bool:

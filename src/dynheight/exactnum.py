@@ -141,10 +141,6 @@ class Place:
             raise ValueError(f"{self.p} is not prime")
 
     @classmethod
-    def infinity(cls) -> "Place":
-        return cls(None)
-
-    @classmethod
     def prime(cls, p: int) -> "Place":
         return cls(p)
 
@@ -163,13 +159,13 @@ class Place:
     def parse(cls, text: str) -> "Place":
         text = text.strip().lower()
         if text in ("inf", "infinity", "oo"):
-            return cls.infinity()
+            return cls()
         if text.startswith("p") and text[1:].isdecimal() and is_prime(int(text[1:])):
             return cls.prime(int(text[1:]))
         raise ValidationError(f"cannot parse place {text!r} (use 'inf' or 'pN' with N prime)")
 
 
-INFINITY = Place.infinity()
+INFINITY = Place()
 
 
 def ord_p(n: int, p: int) -> int:

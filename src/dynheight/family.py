@@ -32,8 +32,8 @@ from .canonical import (
     GreenConfig,
     canonical_height,
     canonical_local_height,
-    charge_level,
     resolve_budget,
+    walk,
 )
 from .dynsys import Morphism, PolarizedSystem, validate_system
 from .errors import (
@@ -158,25 +158,16 @@ def ff_canonical_height(
     """Exact word iteration of the section over Q(t), averaged by alpha^n."""
     if n < 0:
         raise ValidationError("depth must be nonnegative")
-    k, alpha = system.k, system.alpha
+
+    def children(point: ProjPointFF) -> list[ProjPointFF]:
+        return [mp.apply_ff(point) for mp in system.maps]
+
     budget = resolve_budget(node_budget)
-    level: dict[tuple, int] = {section.point.coords: 1}
-    prev = Fraction(ff_height(section.point))
-    value = prev
-    nodes = 0
-    for m in range(1, n + 1):
-        nodes = charge_level(nodes, k, m, budget)
-        new_level: dict[tuple, int] = {}
-        for coords, mult in level.items():
-            point = ProjPointFF(coords)
-            for mp in system.maps:
-                child = mp.apply_ff(point)
-                new_level[child.coords] = new_level.get(child.coords, 0) + mult
-        level = new_level
-        prev = value
-        total = sum(mult * ff_height(ProjPointFF(coords)) for coords, mult in level.items())
-        value = Fraction(total, alpha**m)
-    return FFHeightResult(value, value - prev if n >= 1 else Fraction(0), n)
+    value = prev = Fraction(ff_height(section.point))
+    for m, _nodes, level in walk(section.point, children, system.k, n, budget):
+        total = sum(words * ff_height(point) for point, words in level.items())
+        prev, value = value, Fraction(total, system.alpha**m)
+    return FFHeightResult(value, value - prev, n)
 
 
 def base_height(t0: Fraction) -> float:

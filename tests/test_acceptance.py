@@ -19,7 +19,7 @@ from dynheight.canonical import (
     height_equality_report,
     metric_equality_report,
 )
-from dynheight.dynsys import Morphism, compose, validate_system
+from dynheight.dynsys import Morphism, validate_system
 from dynheight.exactnum import INFINITY, Place, log_abs, prime_factors, support
 from dynheight.family import (
     ParamSystem,
@@ -55,7 +55,7 @@ X2P1 = validate_system([m("X0^2+X1^2", "X1^2")])
 T2 = m("X0^2-2*X1^2", "X1^2")
 T3 = m("X0^3-3*X0*X1^2", "X1^3")
 CHEB = validate_system([T2, T3])
-CHEB6 = validate_system([compose(T2, T3)])
+CHEB6 = validate_system([T2.compose(T3)])
 DEPTH20 = GreenConfig(depth=20)
 
 

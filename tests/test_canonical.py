@@ -8,7 +8,6 @@ import pytest
 from dynheight.canonical import (
     GreenConfig,
     canonical_height,
-    canonical_height_oracle,
     canonical_height_oracle_detailed,
     canonical_local_height,
     forward_orbit,
@@ -17,12 +16,14 @@ from dynheight.canonical import (
     green_profile,
     height_equality_report,
     metric_equality_report,
+    walk,
 )
-from dynheight.dynsys import Morphism, compose, validate_system
+from dynheight.dynsys import Morphism, validate_system
 from dynheight.errors import (
     BudgetExceededError,
     NonCommutingError,
     PointOnDivisorError,
+    ValidationError,
 )
 from dynheight.exactnum import INFINITY, Place
 from dynheight.family import ParamSystem, Section, ff_canonical_height
@@ -38,8 +39,10 @@ X6 = validate_system([m("X0^6", "X1^6")])
 X2P1 = validate_system([m("X0^2+X1^2", "X1^2")])
 CHEB = validate_system([m("X0^2-2*X1^2", "X1^2"), m("X0^3-3*X0*X1^2", "X1^3")])
 CHEB6 = validate_system(
-    [compose(m("X0^2-2*X1^2", "X1^2"), m("X0^3-3*X0*X1^2", "X1^3"))]
+    [m("X0^2-2*X1^2", "X1^2").compose(m("X0^3-3*X0*X1^2", "X1^3"))]
 )
+# Bad reduction at 2 and 3 (perfbench/systems/sbad.json).
+SBAD = validate_system([m("X0^2", "2*X1^2"), m("X0^3+X1^3", "3*X1^3")])
 CFG = GreenConfig(depth=20)
 
 
@@ -115,7 +118,8 @@ def test_higher_dimension_green_and_oracle():
     sq3 = Morphism.from_strings(["X0^2", "X1^2", "X2^2"], dim=2)
     system = validate_system([sq3])
     p = parse_point("2:3:1")
-    assert canonical_height_oracle(system, p, 4) == pytest.approx(weil_height(p), abs=1e-12)
+    oracle = canonical_height_oracle_detailed(system, p, 4)
+    assert oracle.value == pytest.approx(weil_height(p), abs=1e-12)
     assert green_local(system, p.coords, INFINITY, GreenConfig(depth=8)) == pytest.approx(
         weil_height(p), abs=1e-12
     )
@@ -166,14 +170,13 @@ def test_canonical_height_result_invariants():
 
 
 def test_oracle_examples():
-    assert canonical_height_oracle(MONOMIAL, parse_point("2:1"), 6) == pytest.approx(
-        math.log(2), abs=1e-12
-    )
-    assert canonical_height_oracle(X2P1, parse_point("0:1"), 12) == pytest.approx(
-        orbit_escape_rate(20), abs=1e-3
-    )
+    mono = canonical_height_oracle_detailed(MONOMIAL, parse_point("2:1"), 6)
+    assert mono.value == pytest.approx(math.log(2), abs=1e-12)
+    x2p1 = canonical_height_oracle_detailed(X2P1, parse_point("0:1"), 12)
+    assert x2p1.value == pytest.approx(orbit_escape_rate(20), abs=1e-3)
     p = parse_point("7:3")
-    assert canonical_height_oracle(MONOMIAL, p, 0) == pytest.approx(weil_height(p), abs=1e-15)
+    depth0 = canonical_height_oracle_detailed(MONOMIAL, p, 0)
+    assert depth0.value == pytest.approx(weil_height(p), abs=1e-15)
 
 
 def test_two_route_consistency_random_points():
@@ -278,11 +281,38 @@ def test_adaptive_mode_matches_fixed():
         )
 
 
+def test_walk_merges_states_and_charges_distinct_ones():
+    expanded = []
+
+    def children(s):
+        expanded.append(s)
+        return (s + 1, s + 2)
+
+    levels = [(m, nodes, dict(level)) for m, nodes, level in walk(0, children, 2, 3, 100)]
+    assert levels == [
+        (1, 2, {1: 1, 2: 1}),
+        (2, 6, {2: 1, 3: 2, 4: 1}),
+        (3, 12, {3: 1, 4: 3, 5: 3, 6: 1}),
+    ]
+    assert expanded == [0, 1, 2, 2, 3, 4]  # each distinct state once per level
+    with pytest.raises(BudgetExceededError, match="depth 2 needs 6 nodes > 5"):
+        list(walk(0, children, 2, 3, 5))
+
+
+def test_padic_budget_counts_distinct_states():
+    # 2^23 words by depth 23, but a few hundred distinct residue states
+    cfg = GreenConfig(depth=60, target_eps=1e-9, mode="adaptive")
+    prof = green_profile(SBAD, (5, 7), Place(3), cfg)
+    assert prof.value == pytest.approx(-math.log(3) / 4, abs=1e-9)
+    assert (prof.depth, prof.nodes) == (23, 13510)
+
+
 def test_budget_exceeded():
     with pytest.raises(BudgetExceededError, match="budget exceeded"):
         green_local(MONOMIAL, (2, 1), INFINITY, GreenConfig(depth=30, node_budget=1000))
-    with pytest.raises(BudgetExceededError):
-        canonical_height_oracle_detailed(MONOMIAL, parse_point("2:1"), 30, node_budget=1000)
+    # sbad's orbit images never coincide, so every word is a distinct state
+    with pytest.raises(BudgetExceededError, match="depth 9 needs 1022 nodes > 1000"):
+        canonical_height_oracle_detailed(SBAD, parse_point("5:7"), 30, node_budget=1000)
     # A budget of 0 is a budget, not "unset".
     with pytest.raises(BudgetExceededError):
         canonical_height_oracle_detailed(MONOMIAL, parse_point("2:1"), 1, node_budget=0)
@@ -296,6 +326,13 @@ def test_budget_env_override(monkeypatch):
     family = ParamSystem.build([Morphism.from_strings(p, dim=1, allow_t=True) for p in lifts])
     with pytest.raises(BudgetExceededError):
         ff_canonical_height(family, Section.from_strings(["0", "1"]), 8)
+    # MONOMIAL's words collapse to m + 1 states at level m: 72 evaluations
+    oracle = canonical_height_oracle_detailed(MONOMIAL, parse_point("2:1"), 8)
+    assert oracle.value == pytest.approx(math.log(2))
+    for bad in ("abc", "-5", " "):
+        monkeypatch.setenv("DYNHEIGHT_NODE_BUDGET", bad)
+        with pytest.raises(ValidationError, match="must be a nonnegative integer"):
+            green_local(MONOMIAL, (2, 1), INFINITY, GreenConfig(depth=10))
     monkeypatch.setenv("DYNHEIGHT_NODE_BUDGET", "10000000")
     assert green_local(MONOMIAL, (2, 1), INFINITY, GreenConfig(depth=10)) == pytest.approx(
         math.log(2)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -25,11 +26,12 @@ X2PT_DOC = {
 BAD_DOC = {"space": {"dim": 1}, "maps": [{"lift": ["X0^2", "X0*X1"]}]}
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "dynheight.cli", *args],
         capture_output=True,
         text=True,
+        env=None if env is None else {**os.environ, **env},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -112,7 +114,17 @@ def test_budget_exit_code(files):
     code, _out, err = run_cli(
         "height", "--system", files["monomial"], "--point", "2:1", "--depth", "40",
     )
-    assert code == 4 and "budget" in err
+    assert code == 4
+    assert err == "error: budget exceeded: depth 23 needs 16777214 nodes > 10000000\n"
+
+
+def test_bad_budget_env_exit_2(files):
+    code, _out, err = run_cli(
+        "height", "--system", files["monomial"], "--point", "2:1", "--depth", "3",
+        env={"DYNHEIGHT_NODE_BUDGET": "abc"},
+    )
+    assert code == 2
+    assert err == "error: DYNHEIGHT_NODE_BUDGET must be a nonnegative integer, got 'abc'\n"
 
 
 def test_commute_command(files):

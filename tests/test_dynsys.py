@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from dynheight.dynsys import (
     Morphism,
     commutes,
-    compose,
     parse_homog,
     validate_system,
 )
@@ -87,11 +86,11 @@ def test_morphism_eval_examples():
 
 
 def test_compose_examples():
-    assert compose(X2, X3).lift == m("X0^6", "X1^6").lift
+    assert X2.compose(X3).lift == m("X0^6", "X1^6").lift
     t6 = m("X0^6-6*X0^4*X1^2+9*X0^2*X1^4-2*X1^6", "X1^6")
-    assert compose(T2, T3).lift == t6.lift
-    assert compose(T3, T2).lift == t6.lift
-    assert compose(T2, T3).degree == 6
+    assert T2.compose(T3).lift == t6.lift
+    assert T3.compose(T2).lift == t6.lift
+    assert T2.compose(T3).degree == 6
 
 
 def test_resultant_examples():
@@ -153,7 +152,7 @@ def test_eval_compose_compatibility():
     rng = random.Random(1234)
     for _ in range(12):
         f, g = _random_morphism(rng), _random_morphism(rng)
-        fg = compose(f, g)
+        fg = f.compose(g)
         for _ in range(5):
             raw = (rng.randint(-20, 20), rng.randint(-20, 20))
             if raw == (0, 0):
@@ -171,7 +170,7 @@ def test_resultant_of_composition_nonzero():
     rng = random.Random(99)
     for _ in range(15):
         f, g = _random_morphism(rng), _random_morphism(rng)
-        fg = compose(f, g)
+        fg = f.compose(g)
         assert fg.degree == f.degree * g.degree
         assert fg.resultant() != 0
 
