@@ -17,6 +17,11 @@ the p-part of the coordinate gcd (exact residue arithmetic).  Increments
 shrink geometrically with ratio k/alpha, which gives the reported tail
 bounds.
 
+On P^1 a finite-place step reads at most r = max_i ord_p(Res F_i) digits,
+so a state at level m of a depth-D walk keeps its residues mod
+p^((D-m)*r + 1) and states that agree on those digits merge; an adaptive
+walk takes D one level past the first whose certified tail is below eps.
+
 The canonical height of a rational point is the sum of its Green values on
 primitive coordinates over the archimedean place and the bad primes;
 good-reduction primes contribute exactly zero because the resultants are
@@ -292,56 +297,70 @@ def _unit_canonical(coords: tuple[int, ...], p: int, prec: int) -> tuple[int, ..
 
 
 def _padic_walk(
-    system: PolarizedSystem, coords: tuple[int, ...], p: int, prec0: int, cfg: GreenConfig
+    system: PolarizedSystem,
+    coords: tuple[int, ...],
+    p: int,
+    cfg: GreenConfig,
+    prec0: int,
+    horizon: int,
+    trim: int,
+    chat: float | None,
 ) -> GreenProfile:
     # States are (unit-canonical residues, precision).  Dividing an image by
-    # p^e leaves precision prec - e, so the valuations summed over level m
-    # are k * P(m-1) - P(m), where P(m) sums words * precision over level m.
+    # p^e leaves precision prec - e.  With trim = r > 0 every child is cut to
+    # prec - r digits instead, so states that agree on every digit the
+    # remaining levels can read merge.  children records each parent's
+    # valuation sum sum_i e_i; level m's valuations are words * esum summed
+    # over level m - 1.  chat is None where no resultant bound exists (P^N):
+    # the walk then monitors the largest one-step increment.
     k, alpha = system.k, system.alpha
     e0 = min(ord_p(c, p) for c in coords if c != 0)
     pe0 = p**e0
     start = tuple((c // pe0) % p**prec0 for c in coords)
-    start = _unit_canonical(start, p, prec0)
+    start = (_unit_canonical(start, p, prec0), prec0)
     exact = Fraction(-e0)
     lnp = math.log(p)
-    if system.dim == 1:
-        res_bound = sum(ord_p(r, p) for r in system.resultants())
-        chat = float(Fraction(res_bound, alpha)) * lnp
-        monitored = False
-    else:
+    monitored = chat is None
+    if monitored:
         chat = 0.0
-        monitored = True
+    esums: dict = {}
 
     def children(state):
         nonlocal chat
         cs, prec = state
         pm = p**prec
         kids = []
+        esum = 0
         for mp in system.maps:
             vals = [v % pm for v in mp.eval_raw(cs)]
             nonzero = [v for v in vals if v]
             if not nonzero:
                 raise _PrecisionExhausted
             e = min(ord_p(v, p) for v in nonzero)
-            nprec = prec - e
+            esum += e
+            nprec = prec - (trim or e)
             pe = p**e
             pnm = p**nprec
             kids.append((_unit_canonical(tuple((v // pe) % pnm for v in vals), p, nprec), nprec))
+        esums[state] = esum
         if monitored:
-            chat = max(chat, sum(prec - q for _cs, q in kids) / alpha * lnp)
+            chat = max(chat, esum / alpha * lnp)
         return kids
 
     increments: list[float] = []
-    prev_p = prec0
-    levels = walk((start, prec0), children, k, cfg.depth, resolve_budget(cfg.node_budget))
-    for m, nodes, level in levels:
-        level_p = sum(words * prec for (_cs, prec), words in level.items())
-        step = Fraction(k * prev_p - level_p, alpha**m)
-        prev_p = level_p
+    parents = {start: 1}
+    for m, nodes, level in walk(start, children, k, horizon, resolve_budget(cfg.node_budget)):
+        step = Fraction(sum(words * esums[s] for s, words in parents.items()), alpha**m)
+        esums.clear()
+        parents = level
         exact -= step
         increments.append(-float(step) * lnp)
         if _converged(system, cfg, increments, chat):
             break
+    else:
+        if horizon < cfg.depth:
+            # An adaptive horizon that float rounding kept from converging.
+            raise _PrecisionExhausted
     return GreenProfile(float(exact) * lnp, increments, chat, len(increments), nodes, exact)
 
 
@@ -349,30 +368,45 @@ def _green_padic(system: PolarizedSystem, coords, p: int, cfg: GreenConfig) -> G
     coords = tuple(int(c) for c in coords)
     if all(c == 0 for c in coords):
         raise ValidationError("zero lift coordinates")
-    e0 = min(ord_p(c, p) for c in coords if c != 0)
-    if system.dim == 1:
-        per_step = max(ord_p(r, p) for r in system.resultants())
-        if per_step == 0:
-            # Good reduction: images of primitive tuples stay primitive, so
-            # the walk contributes nothing beyond the initial content.
-            exact = Fraction(-e0)
-            return GreenProfile(float(exact) * math.log(p), [], 0.0, 0, 0, exact)
-        prec0 = cfg.depth * per_step + 8
-    else:
+    if system.dim != 1:
+        # No resultant bound on P^N: start with 64 digits and double them
+        # whenever an image vanishes to working precision.  An image that is
+        # the exact zero vector (an indeterminacy point of a non-morphism)
+        # would exhaust any precision, so restarts stop at a generous
+        # desk-scale ceiling.
         prec0 = 64
-    # On P^1 the resultant bound makes the first precision sufficient; the
-    # doubling loop only matters on higher P^N where no bound is computed.
-    # An image that is the exact zero vector (an indeterminacy point of a
-    # non-morphism) would exhaust any precision, so restarts stop at a
-    # generous desk-scale ceiling.
-    while prec0 <= 2**16:
-        try:
-            return _padic_walk(system, coords, p, prec0, cfg)
-        except _PrecisionExhausted:
-            prec0 *= 2
-    raise IndeterminatePointError(
-        f"images vanish {p}-adically beyond working precision: indeterminate point"
-    )
+        while prec0 <= 2**16:
+            try:
+                return _padic_walk(system, coords, p, cfg, prec0, cfg.depth, 0, None)
+            except _PrecisionExhausted:
+                prec0 *= 2
+        raise IndeterminatePointError(
+            f"images vanish {p}-adically beyond working precision: indeterminate point"
+        )
+    ords = [ord_p(res, p) for res in system.resultants()]
+    r = max(ords)
+    if r == 0:
+        # Good reduction: images of primitive tuples stay primitive, so the
+        # walk contributes nothing beyond the initial content.
+        exact = Fraction(-min(ord_p(c, p) for c in coords if c != 0))
+        return GreenProfile(float(exact) * math.log(p), [], 0.0, 0, 0, exact)
+    chat = float(Fraction(sum(ords), system.alpha)) * math.log(p)
+    # A primitive point's image has valuation at most r = max ord_p(Res), so
+    # a step reads at most r digits and the last step one more to find its
+    # valuation: a state at level m of a depth-D walk needs (D - m)*r + 1
+    # digits.  An adaptive walk meets its stop rule by the level after m*,
+    # the first level whose certified tail is below eps, so D = m* + 1; if
+    # float rounding says otherwise, the walk reruns against the depth cap.
+    horizon = cfg.depth
+    if cfg.mode == "adaptive":
+        m_star = 1
+        while m_star < cfg.depth and geom_tail(system, chat, m_star) >= cfg.target_eps:
+            m_star += 1
+        horizon = min(cfg.depth, m_star + 1)
+    try:
+        return _padic_walk(system, coords, p, cfg, horizon * r + 1, horizon, r, chat)
+    except _PrecisionExhausted:
+        return _padic_walk(system, coords, p, cfg, cfg.depth * r + 1, cfg.depth, r, chat)
 
 
 # -- public surface ---------------------------------------------------------------------

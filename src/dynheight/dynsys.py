@@ -239,7 +239,7 @@ def parse_homog(text: str, nvars: int, allow_t: bool = False) -> HomogPoly:
 class Morphism:
     """Self-map of P^N given by a homogeneous lift of common degree."""
 
-    __slots__ = ("lift", "nvars", "degree", "_np_cache", "_res_cache")
+    __slots__ = ("lift", "nvars", "degree", "has_param", "_np_cache", "_res_cache")
 
     def __init__(self, lift, normalize: bool = True):
         lift = tuple(lift)
@@ -261,6 +261,7 @@ class Morphism:
         self.lift = lift
         self.nvars = nvars
         self.degree = degree
+        self.has_param = any(p.has_param for p in lift)
         self._np_cache = None
         self._res_cache: dict = {}
 
@@ -269,10 +270,6 @@ class Morphism:
     @property
     def dim(self) -> int:
         return self.nvars - 1
-
-    @property
-    def has_param(self) -> bool:
-        return any(p.has_param for p in self.lift)
 
     def __eq__(self, other):
         if not isinstance(other, Morphism):
@@ -305,6 +302,14 @@ class Morphism:
         if self.has_param:
             raise ValidationError("parametric lift applied to a rational point")
         vals = self.eval_raw(point.coords)
+        if all(type(v) is int for v in vals):
+            # Integer images: divide by the signed gcd, skipping Fractions.
+            g = gcd(*vals)
+            if g == 0:
+                raise IndeterminatePointError("indeterminate point")
+            if next(v for v in vals if v) < 0:
+                g = -g
+            return ProjPointQ(tuple(v // g for v in vals))
         if all(v == 0 for v in vals):
             raise IndeterminatePointError("indeterminate point")
         return normalize(vals)

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dynheight.canonical import (
     GreenConfig,
@@ -18,7 +19,7 @@ from dynheight.canonical import (
     metric_equality_report,
     walk,
 )
-from dynheight.dynsys import Morphism, validate_system
+from dynheight.dynsys import HomogPoly, Morphism, validate_system
 from dynheight.errors import (
     BudgetExceededError,
     NonCommutingError,
@@ -112,6 +113,52 @@ def test_padic_green_matches_bruteforce_oracle():
         expected = _padic_green_bruteforce(mixed, coords, 2, 8)
         prof = green_profile(mixed, coords, Place.prime(2), GreenConfig(depth=8))
         assert prof.exact == expected
+    # sbad at both bad primes; (1, 6) and (12, 9) have a coordinate divisible by p
+    for p in (2, 3):
+        for coords in ((5, 7), (2, 1), (1, 6), (12, 9)):
+            expected = _padic_green_bruteforce(SBAD, coords, p, 8)
+            prof = green_profile(SBAD, coords, Place(p), GreenConfig(depth=8))
+            assert prof.exact == expected, (p, coords)
+
+
+def test_trimmed_adaptive_walk_pinned():
+    # The adaptive horizon is m* + 1 = 22 for the certified p=2 tail of sbad.
+    from fractions import Fraction
+
+    cfg = GreenConfig(depth=60, target_eps=1e-9, mode="adaptive")
+    prof = green_profile(SBAD, (5, 7), Place(2), cfg)
+    assert prof.depth == 22
+    assert prof.exact == Fraction(-125483462679796, 2384185791015625)
+    assert prof.value == pytest.approx(-math.log(2) / 19, abs=1e-9)
+
+
+_binary_forms = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(
+        *[st.lists(st.integers(-4, 4), min_size=d + 1, max_size=d + 1) for _ in range(2)]
+    )
+)
+
+
+def _binary_morphism(coeff_rows):
+    d = len(coeff_rows[0]) - 1
+    lift = [HomogPoly(2, {(d - i, i): c for i, c in enumerate(row)}) for row in coeff_rows]
+    return Morphism(lift)
+
+
+@given(st.lists(_binary_forms, min_size=1, max_size=2), st.integers(1, 6))
+@example([([-3, 2, 4], [2, -3, -2])], 4)  # a step reads all r digits
+@settings(max_examples=100, deadline=None)
+def test_trimmed_padic_walk_matches_bruteforce_random(forms, depth):
+    # validate_system rejects zero resultants and alpha <= k
+    try:
+        system = validate_system([_binary_morphism(rows) for rows in forms])
+    except ValidationError:
+        assume(False)
+    for p in system.bad_primes():
+        for coords in ((1, 0), (0, 1), (1, 1), (5, 7), (p, 3)):
+            expected = _padic_green_bruteforce(system, coords, p, depth)
+            prof = green_profile(system, coords, Place(p), GreenConfig(depth=depth))
+            assert prof.exact == expected, (p, coords)
 
 
 def test_higher_dimension_green_and_oracle():
@@ -304,7 +351,7 @@ def test_padic_budget_counts_distinct_states():
     cfg = GreenConfig(depth=60, target_eps=1e-9, mode="adaptive")
     prof = green_profile(SBAD, (5, 7), Place(3), cfg)
     assert prof.value == pytest.approx(-math.log(3) / 4, abs=1e-9)
-    assert (prof.depth, prof.nodes) == (23, 13510)
+    assert (prof.depth, prof.nodes) == (23, 2268)
 
 
 def test_budget_exceeded():

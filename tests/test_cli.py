@@ -103,6 +103,16 @@ def test_oracle_and_green_and_local(files):
     assert code == 0 and abs(float(out.split()[1]) - math.log(2)) < 1e-8
 
 
+def test_green_adaptive_bad_prime():
+    # -ln 2 / 19; the walk keeps only the digits its remaining depth can read
+    sbad = str(ROOT / "perfbench" / "systems" / "sbad.json")
+    code, out, err = run_cli(
+        "green", "--system", sbad, "--point", "5:7", "--place", "p2", "--eps", "1e-9",
+    )
+    assert (code, out, err) == (0, "value -0.0364814305543\n", "")
+    assert abs(float(out.split()[1]) + math.log(2) / 19) < 1e-9
+
+
 def test_point_on_divisor_exit_code(files):
     code, _out, err = run_cli(
         "local", "--system", files["monomial"], "--point", "0:1", "--index", "0",
