@@ -301,28 +301,31 @@ def _padic_walk(
     coords: tuple[int, ...],
     p: int,
     cfg: GreenConfig,
-    prec0: int,
     horizon: int,
-    trim: int,
-    chat: float | None,
+    bound: tuple[int, float] | None,
+    prec0: int | None = None,
 ) -> GreenProfile:
-    # States are (unit-canonical residues, precision).  Dividing an image by
-    # p^e leaves precision prec - e.  With trim = r > 0 every child is cut to
-    # prec - r digits instead, so states that agree on every digit the
-    # remaining levels can read merge.  children records each parent's
-    # valuation sum sum_i e_i; level m's valuations are words * esum summed
-    # over level m - 1.  chat is None where no resultant bound exists (P^N):
-    # the walk then monitors the largest one-step increment.
+    # States are (unit-canonical residues, precision).  bound = (r, chat)
+    # comes from the resultants on P^1: the walk starts with horizon*r + 1
+    # digits and cuts every child to prec - r, so states that agree on every
+    # digit the remaining levels can read merge.  On P^N (bound None) it
+    # starts with prec0 digits, dividing an image by p^e leaves prec - e, and
+    # chat monitors the largest one-step increment.  children records each
+    # parent's valuation sum sum_i e_i; level m's valuations are
+    # words * esum summed over level m - 1.
     k, alpha = system.k, system.alpha
+    monitored = bound is None
+    if monitored:
+        trim, chat = 0, 0.0
+    else:
+        trim, chat = bound
+        prec0 = horizon * trim + 1
     e0 = min(ord_p(c, p) for c in coords if c != 0)
     pe0 = p**e0
     start = tuple((c // pe0) % p**prec0 for c in coords)
     start = (_unit_canonical(start, p, prec0), prec0)
     exact = Fraction(-e0)
     lnp = math.log(p)
-    monitored = chat is None
-    if monitored:
-        chat = 0.0
     esums: dict = {}
 
     def children(state):
@@ -377,7 +380,7 @@ def _green_padic(system: PolarizedSystem, coords, p: int, cfg: GreenConfig) -> G
         prec0 = 64
         while prec0 <= 2**16:
             try:
-                return _padic_walk(system, coords, p, cfg, prec0, cfg.depth, 0, None)
+                return _padic_walk(system, coords, p, cfg, cfg.depth, None, prec0)
             except _PrecisionExhausted:
                 prec0 *= 2
         raise IndeterminatePointError(
@@ -404,9 +407,9 @@ def _green_padic(system: PolarizedSystem, coords, p: int, cfg: GreenConfig) -> G
             m_star += 1
         horizon = min(cfg.depth, m_star + 1)
     try:
-        return _padic_walk(system, coords, p, cfg, horizon * r + 1, horizon, r, chat)
+        return _padic_walk(system, coords, p, cfg, horizon, (r, chat))
     except _PrecisionExhausted:
-        return _padic_walk(system, coords, p, cfg, cfg.depth * r + 1, cfg.depth, r, chat)
+        return _padic_walk(system, coords, p, cfg, cfg.depth, (r, chat))
 
 
 # -- public surface ---------------------------------------------------------------------

@@ -302,14 +302,6 @@ class Morphism:
         if self.has_param:
             raise ValidationError("parametric lift applied to a rational point")
         vals = self.eval_raw(point.coords)
-        if all(type(v) is int for v in vals):
-            # Integer images: divide by the signed gcd, skipping Fractions.
-            g = gcd(*vals)
-            if g == 0:
-                raise IndeterminatePointError("indeterminate point")
-            if next(v for v in vals if v) < 0:
-                g = -g
-            return ProjPointQ(tuple(v // g for v in vals))
         if all(v == 0 for v in vals):
             raise IndeterminatePointError("indeterminate point")
         return normalize(vals)

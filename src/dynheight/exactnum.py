@@ -125,6 +125,9 @@ def prime_factors(n: int) -> dict[int, int]:
 
 def clear_denominators(vals) -> list[int]:
     """The rationals vals times the lcm of their denominators, as integers."""
+    vals = list(vals)
+    if all(type(v) is int for v in vals):
+        return vals
     vals = [Fraction(v) for v in vals]
     scale = math.lcm(*(v.denominator for v in vals))
     return [v.numerator * (scale // v.denominator) for v in vals]

@@ -2,10 +2,12 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from dynheight import canonical
 from dynheight.canonical import (
     GreenConfig,
     canonical_height,
@@ -75,7 +77,6 @@ def test_green_x2p1_matches_orbit_oracle():
 
 def _padic_green_bruteforce(system, coords, p: int, depth: int):
     """Independent oracle: full big-integer word tree, exact gcd p-parts."""
-    from fractions import Fraction
     from math import gcd
 
     from dynheight.exactnum import ord_p
@@ -121,15 +122,31 @@ def test_padic_green_matches_bruteforce_oracle():
             assert prof.exact == expected, (p, coords)
 
 
-def test_trimmed_adaptive_walk_pinned():
-    # The adaptive horizon is m* + 1 = 22 for the certified p=2 tail of sbad.
-    from fractions import Fraction
+def test_adaptive_padic_reruns_when_horizon_falls_short(monkeypatch):
+    # Make the horizon search stop at m* = 1: the walk to D = 2 cannot meet
+    # the stop rule, so it must rerun against the depth cap and still give
+    # the value of an unhindered walk.
+    cfg = GreenConfig(depth=60, target_eps=1e-3, mode="adaptive")
+    expected = green_profile(SBAD, (5, 7), Place(3), cfg)
+    real_tail, real_walk = canonical.geom_tail, canonical._padic_walk
+    tails, horizons = [], []
 
-    cfg = GreenConfig(depth=60, target_eps=1e-9, mode="adaptive")
-    prof = green_profile(SBAD, (5, 7), Place(2), cfg)
-    assert prof.depth == 22
-    assert prof.exact == Fraction(-125483462679796, 2384185791015625)
-    assert prof.value == pytest.approx(-math.log(2) / 19, abs=1e-9)
+    def short_first_tail(system, chat, m):
+        tails.append(m)
+        return 0.0 if len(tails) == 1 else real_tail(system, chat, m)
+
+    def spy_walk(system, coords, p, cfg, horizon, *rest):
+        horizons.append(horizon)
+        return real_walk(system, coords, p, cfg, horizon, *rest)
+
+    monkeypatch.setattr(canonical, "geom_tail", short_first_tail)
+    monkeypatch.setattr(canonical, "_padic_walk", spy_walk)
+    prof = green_profile(SBAD, (5, 7), Place(3), cfg)
+    assert horizons == [2, 60]
+    assert (prof.exact, prof.depth, prof.increments) == (
+        expected.exact, expected.depth, expected.increments,
+    )
+    assert prof.exact == _padic_green_bruteforce(SBAD, (5, 7), 3, prof.depth)
 
 
 _binary_forms = st.integers(1, 3).flatmap(
@@ -176,8 +193,6 @@ def test_higher_dimension_green_and_oracle():
         [Morphism.from_strings(["X0^2", "X1^2", "2*X2^2"], dim=2, normalize=False)]
     )
     prof = green_profile(weighted, (0, 0, 1), Place.prime(2), GreenConfig(depth=8))
-    from fractions import Fraction
-
     assert prof.exact == Fraction(-(2**8 - 1), 2**8)  # -sum 2^-m over m=1..8
     from dynheight.errors import ValidationError
 
@@ -347,11 +362,17 @@ def test_walk_merges_states_and_charges_distinct_ones():
 
 
 def test_padic_budget_counts_distinct_states():
-    # 2^23 words by depth 23, but a few hundred distinct residue states
+    # 2^22 or 2^23 words, but a few hundred distinct residue states per level;
+    # the adaptive horizon is m* + 1, m* the first level with tail below eps
     cfg = GreenConfig(depth=60, target_eps=1e-9, mode="adaptive")
-    prof = green_profile(SBAD, (5, 7), Place(3), cfg)
-    assert prof.value == pytest.approx(-math.log(3) / 4, abs=1e-9)
-    assert (prof.depth, prof.nodes) == (23, 2268)
+    cases = [
+        (2, -math.log(2) / 19, 22, 2208, Fraction(-125483462679796, 2384185791015625)),
+        (3, -math.log(3) / 4, 23, 2268, Fraction(-2980232238769531, 11920928955078125)),
+    ]
+    for p, value, depth, nodes, exact in cases:
+        prof = green_profile(SBAD, (5, 7), Place(p), cfg)
+        assert prof.value == pytest.approx(value, abs=1e-9)
+        assert (prof.depth, prof.nodes, prof.exact) == (depth, nodes, exact)
 
 
 def test_budget_exceeded():
