@@ -53,7 +53,7 @@ from .errors import (
     ValidationError,
 )
 from .exactnum import INFINITY, Place, log_abs, ord_p
-from .dynsys import Morphism, PolarizedSystem, commutes
+from .dynsys import PolarizedSystem, commutes
 from .projective import ProjPointQ, weil_height
 
 __all__ = [
@@ -200,47 +200,13 @@ class OracleResult:
 # -- archimedean walk ---------------------------------------------------------------
 
 
-def _np_terms(m: Morphism):
-    if m._np_cache is None:
-        per_coord = []
-        try:
-            for p in m.lift:
-                per_coord.append([(float(c), exps) for exps, c in p.sorted_terms()])
-        except OverflowError as exc:
-            raise ValidationError("lift coefficient is too large for a float") from exc
-        m._np_cache = per_coord
-    return m._np_cache
-
-
-def _np_eval(m: Morphism, x: np.ndarray) -> np.ndarray:
-    rows = x.shape[0]
-    out = np.empty((rows, m.nvars))
-    powers: dict[tuple[int, int], np.ndarray] = {}
-
-    def power(i: int, e: int) -> np.ndarray:
-        key = (i, e)
-        if key not in powers:
-            powers[key] = x[:, i] ** e
-        return powers[key]
-
-    for j, entries in enumerate(_np_terms(m)):
-        acc = np.zeros(rows)
-        for coeff, exps in entries:
-            term = None
-            for i, e in enumerate(exps):
-                if e:
-                    term = power(i, e) if term is None else term * power(i, e)
-            acc = acc + coeff * term if term is not None else acc + coeff
-        out[:, j] = acc
-    return out
-
-
 def _green_arch(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProfile:
     """Level-by-level word-tree walk at the archimedean place.
 
     Levels are kept as arrays of sup-normalized points in lexicographic
     word order; the per-level log contributions are reduced in that fixed
     index order, so the output is reproducible for a given configuration.
+    The lifts are evaluated by HomogPoly.eval on the coordinate columns.
     """
     coords = [int(c) for c in coords]
     sup = max(abs(c) for c in coords)
@@ -259,12 +225,19 @@ def _green_arch(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProfi
         nodes = charge_level(nodes, k * len(x), m, budget)
         children = []
         lncs = []
+        columns = [x[:, i] for i in range(nvars)]
         for mp in system.maps:
-            y = _np_eval(mp, x)
+            y = np.empty_like(x)
+            try:
+                for j, v in enumerate(mp.eval_raw(columns)):
+                    y[:, j] = v                            # a zero coordinate is the scalar 0
+            except OverflowError as exc:
+                raise ValidationError("lift coefficient is too large for a float") from exc
             c = np.max(np.abs(y), axis=1)
             if not np.all(c > 0.0):
                 raise IndeterminatePointError("indeterminate point in word tree")
-            children.append(y / c[:, None])
+            y /= c[:, None]
+            children.append(y)
             lncs.append(np.log(c))
         lnc = np.stack(lncs, axis=1)                       # (rows, k), parent-major
         weight /= alpha
@@ -314,6 +287,13 @@ def _padic_walk(
     # parent's valuation sum sum_i e_i; level m's valuations are
     # words * esum summed over level m - 1.
     k, alpha = system.k, system.alpha
+    budget = resolve_budget(cfg.node_budget)
+    if cfg.mode == "fixed" and k * horizon > budget:
+        # Every level holds a state, so a fixed walk charges at least k
+        # evaluations per level: fail before building horizon*r + 1 digits.
+        raise BudgetExceededError(
+            f"budget exceeded: depth {horizon} needs at least {k * horizon} nodes > {budget}"
+        )
     monitored = bound is None
     if monitored:
         trim, chat = 0, 0.0
@@ -352,7 +332,7 @@ def _padic_walk(
 
     increments: list[float] = []
     parents = {start: 1}
-    for m, nodes, level in walk(start, children, k, horizon, resolve_budget(cfg.node_budget)):
+    for m, nodes, level in walk(start, children, k, horizon, budget):
         step = Fraction(sum(words * esums[s] for s, words in parents.items()), alpha**m)
         esums.clear()
         parents = level

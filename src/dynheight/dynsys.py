@@ -18,7 +18,12 @@ P^N no resultant is computed; morphism-ness is user-asserted and failures
 surface as runtime "indeterminate point" errors.
 
 Lift polynomials are read by polynomial.parse_terms, which states the
-grammar.
+grammar.  HomogPoly.eval is the one lift evaluator, whatever the
+coordinates are: integers and residues in the exact walks, Z[t] in the
+function-field height, HomogPolys in compose, float columns in the
+archimedean walk.  Terms are stored in descending lexicographic exponent
+order and summed in that order as c * (x_0^e_0 * x_1^e_1 * ...), so the
+archimedean float sums are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -58,7 +63,9 @@ class HomogPoly:
     """Homogeneous polynomial in X0..XN, coefficients in Z or Z[t].
 
     Terms are a map from exponent vectors (all summing to the degree) to
-    nonzero coefficients.  The zero polynomial has degree None.
+    nonzero coefficients, stored in descending lexicographic exponent order;
+    every reader (eval, rendering, equality) walks them in that order.  The
+    zero polynomial has degree None.
     """
 
     __slots__ = ("nvars", "degree", "terms")
@@ -80,7 +87,7 @@ class HomogPoly:
             clean[exps] = c
         self.nvars = nvars
         self.degree = degree
-        self.terms = clean
+        self.terms = dict(sorted(clean.items(), reverse=True))
 
     # -- queries ---------------------------------------------------------------
 
@@ -92,10 +99,6 @@ class HomogPoly:
     def has_param(self) -> bool:
         return any(isinstance(c, TPoly) for c in self.terms.values())
 
-    def sorted_terms(self):
-        """Terms in descending lexicographic exponent order (deterministic)."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomogPoly):
             return NotImplemented
@@ -106,7 +109,7 @@ class HomogPoly:
 
     def _key(self):
         return tuple(
-            (e, c.c if isinstance(c, TPoly) else c) for e, c in self.sorted_terms()
+            (e, c.c if isinstance(c, TPoly) else c) for e, c in self.terms.items()
         )
 
     # -- arithmetic --------------------------------------------------------------
@@ -136,6 +139,8 @@ class HomogPoly:
             return HomogPoly.zero(self.nvars)
         return HomogPoly(self.nvars, {e: c * s for e, c in self.terms.items()})
 
+    __rmul__ = scale
+
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         if self.is_zero or other.is_zero:
             return HomogPoly.zero(self.nvars)
@@ -156,42 +161,26 @@ class HomogPoly:
             out = out * self
         return out
 
-    # -- evaluation and substitution ----------------------------------------------
+    # -- evaluation ---------------------------------------------------------------
 
     def eval(self, coords):
-        """Exact evaluation on ring elements (int, Fraction or TPoly)."""
-        acc = 0
+        """The one lift evaluator: sum of c * (x_0^e_0 * x_1^e_1 * ...) in term order.
+
+        coords may be ring elements (int, Fraction, TPoly), HomogPolys (which
+        composes) or float arrays (which evaluates row-wise).  The fixed term
+        order and association make float sums reproducible.  The zero
+        polynomial evaluates to the int 0.
+        """
+        acc = None
         for exps, c in self.terms.items():
-            term = c
+            mono = None
             for x, e in zip(coords, exps):
-                if e == 1:
-                    term = term * x
-                elif e > 1:
-                    term = term * x**e
-            acc = acc + term
-        return acc
-
-    def substitute(self, polys: list["HomogPoly"]) -> "HomogPoly":
-        """Plug homogeneous polynomials in for the variables."""
-        nvars = polys[0].nvars
-        cache: dict[tuple[int, int], HomogPoly] = {}
-
-        def power(i: int, e: int) -> HomogPoly:
-            if (i, e) not in cache:
-                cache[(i, e)] = polys[i] ** e
-            return cache[(i, e)]
-
-        acc = HomogPoly.zero(nvars)
-        for exps, c in self.terms.items():
-            term = None
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                term = power(i, e) if term is None else term * power(i, e)
-            if term is None:
-                term = HomogPoly(nvars, {(0,) * nvars: 1})
-            acc = acc + term.scale(c)
-        return acc
+                if e:
+                    xe = x if e == 1 else x**e
+                    mono = xe if mono is None else mono * xe
+            term = c if mono is None else c * mono
+            acc = term if acc is None else acc + term
+        return 0 if acc is None else acc
 
     def specialize_t(self, t0: Fraction) -> dict[tuple[int, ...], Fraction]:
         """Substitute t = t0; returns the (possibly zero) rational term map."""
@@ -203,7 +192,7 @@ class HomogPoly:
         if self.is_zero:
             return "0"
         parts: list[str] = []
-        for exps, c in self.sorted_terms():
+        for exps, c in self.terms.items():
             if isinstance(c, TPoly):
                 if c.is_constant:
                     coeff_str, negative = str(abs(c.lead)), c.lead < 0
@@ -239,7 +228,7 @@ def parse_homog(text: str, nvars: int, allow_t: bool = False) -> HomogPoly:
 class Morphism:
     """Self-map of P^N given by a homogeneous lift of common degree."""
 
-    __slots__ = ("lift", "nvars", "degree", "has_param", "_np_cache", "_res_cache")
+    __slots__ = ("lift", "nvars", "degree", "has_param", "_res_cache")
 
     def __init__(self, lift, normalize: bool = True):
         lift = tuple(lift)
@@ -262,7 +251,6 @@ class Morphism:
         self.nvars = nvars
         self.degree = degree
         self.has_param = any(p.has_param for p in lift)
-        self._np_cache = None
         self._res_cache: dict = {}
 
     # -- queries ---------------------------------------------------------------
@@ -292,8 +280,11 @@ class Morphism:
     # -- evaluation -----------------------------------------------------------------
 
     def eval_raw(self, coords) -> tuple:
-        """Evaluate the lift exactly; no normalization, any coefficient ring."""
-        return tuple(p.eval(coords) if not p.is_zero else 0 for p in self.lift)
+        """Evaluate the lift with HomogPoly.eval; no normalization.
+
+        A zero coordinate polynomial gives the int 0 whatever coords are.
+        """
+        return tuple(p.eval(coords) for p in self.lift)
 
     def apply(self, point: ProjPointQ) -> ProjPointQ:
         """Evaluate on primitive coordinates and renormalize; exact."""
@@ -321,8 +312,7 @@ class Morphism:
         """Symbolic substitution; degree multiplies, content is removed."""
         if self.nvars != inner.nvars:
             raise ValidationError("dimension mismatch")
-        lift = [p.substitute(list(inner.lift)) for p in self.lift]
-        return Morphism(lift, normalize=True)
+        return Morphism([p.eval(inner.lift) if not p.is_zero else p for p in self.lift])
 
     def _binary_form_rows(self) -> tuple[list, list]:
         if self.dim != 1:
@@ -385,13 +375,8 @@ def _canonical_lift(lift: tuple) -> tuple:
             g = gcd(g, _ccontent(c))
     if g == 0:
         raise ValidationError("lift is identically zero")
-    sign = 0
-    for p in lift:
-        for _e, c in p.sorted_terms():
-            sign = 1 if _clead(c) > 0 else -1
-            break
-        if sign:
-            break
+    first = next(c for p in lift for c in p.terms.values())
+    sign = 1 if _clead(first) > 0 else -1
     s = g * sign
     if s == 1:
         return tuple(lift)
@@ -427,6 +412,17 @@ class PolarizedSystem:
         return list(self._bad_primes)
 
 
+def polarization(maps: tuple) -> tuple[int, int]:
+    """(k, alpha) of a nonempty tuple of maps; rejects it unless alpha > k."""
+    if not maps:
+        raise ValidationError("empty system")
+    k = len(maps)
+    alpha = sum(m.degree for m in maps)
+    if alpha <= k:
+        raise ValidationError(f"not polarized with alpha > k (alpha={alpha}, k={k})")
+    return k, alpha
+
+
 def validate_system(maps) -> PolarizedSystem:
     """Check the polarization inequality and, on P^1, morphism-ness.
 
@@ -435,18 +431,13 @@ def validate_system(maps) -> PolarizedSystem:
     morphism and the system is rejected as well.
     """
     maps = tuple(maps)
-    if not maps:
-        raise ValidationError("empty system")
+    k, alpha = polarization(maps)
     dims = {m.dim for m in maps}
     if len(dims) != 1:
         raise ValidationError("maps live on different projective spaces")
     (dim,) = dims
     if any(m.has_param for m in maps):
         raise ValidationError("parametric lift in a constant system (specialize first)")
-    k = len(maps)
-    alpha = sum(m.degree for m in maps)
-    if alpha <= k:
-        raise ValidationError(f"not polarized with alpha > k (alpha={alpha}, k={k})")
     if dim == 1:
         for m in maps:
             if m.resultant() == 0:

@@ -35,7 +35,7 @@ from .canonical import (
     resolve_budget,
     walk,
 )
-from .dynsys import Morphism, PolarizedSystem, validate_system
+from .dynsys import Morphism, PolarizedSystem, polarization, validate_system
 from .errors import (
     BadParameterError,
     PointOnDivisorError,
@@ -84,14 +84,9 @@ class ParamSystem:
     @classmethod
     def build(cls, maps) -> "ParamSystem":
         maps = tuple(maps)
-        if not maps:
-            raise ValidationError("empty system")
+        k, alpha = polarization(maps)
         if any(m.dim != 1 for m in maps):
             raise ValidationError("parametric systems are supported on P^1 only")
-        k = len(maps)
-        alpha = sum(m.degree for m in maps)
-        if alpha <= k:
-            raise ValidationError(f"not polarized with alpha > k (alpha={alpha}, k={k})")
         locus = TPoly.const(1)
         for m in maps:
             locus = locus * m.t_resultant()

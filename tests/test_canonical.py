@@ -200,6 +200,16 @@ def test_higher_dimension_green_and_oracle():
         canonical_height(system, p, CFG)  # finite places need P^1 resultants
 
 
+def test_zero_coordinate_lift_on_p2():
+    # The zero coordinate evaluates to the scalar 0, which must fill a whole
+    # column of the level array.
+    system = validate_system([
+        Morphism.from_strings(["X0^2", "X1^2", "0"], dim=2),
+        Morphism.from_strings(["X0^3", "X1^3", "X2^3"], dim=2),
+    ])
+    assert green_local(system, (3, 2, 5), INFINITY, GreenConfig(depth=5)) == 1.138334089172153
+
+
 def test_green_homogeneity():
     rng = random.Random(7)
     for _ in range(10):
@@ -384,6 +394,23 @@ def test_budget_exceeded():
     # A budget of 0 is a budget, not "unset".
     with pytest.raises(BudgetExceededError):
         canonical_height_oracle_detailed(MONOMIAL, parse_point("2:1"), 1, node_budget=0)
+
+
+def test_fixed_padic_walk_fails_before_building_residues():
+    # A fixed walk charges at least k evaluations per level, so k*depth over
+    # the budget fails at once; an adaptive walk may stop early and is not
+    # refused up front.
+    with pytest.raises(BudgetExceededError, match="depth 50 needs at least 100 nodes > 99"):
+        green_profile(SBAD, (5, 7), Place(3), GreenConfig(depth=50, node_budget=99))
+    weighted = validate_system(
+        [Morphism.from_strings(["X0^2", "X1^2", "2*X2^2"], dim=2, normalize=False)]
+    )
+    with pytest.raises(BudgetExceededError, match="depth 8 needs at least 8 nodes > 7"):
+        green_profile(weighted, (0, 0, 1), Place(2), GreenConfig(depth=8, node_budget=7))
+    prof = green_profile(weighted, (0, 0, 1), Place(2), GreenConfig(depth=8, node_budget=8))
+    assert prof.nodes == 8
+    adaptive = GreenConfig(depth=10**4, target_eps=1e-3, mode="adaptive", node_budget=10**4)
+    assert green_profile(SBAD, (5, 7), Place(3), adaptive).depth < 20
 
 
 def test_budget_env_override(monkeypatch):

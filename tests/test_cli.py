@@ -26,12 +26,13 @@ X2PT_DOC = {
 BAD_DOC = {"space": {"dim": 1}, "maps": [{"lift": ["X0^2", "X0*X1"]}]}
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "dynheight.cli", *args],
         capture_output=True,
         text=True,
         env=None if env is None else {**os.environ, **env},
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -126,6 +127,17 @@ def test_budget_exit_code(files):
     )
     assert code == 4
     assert err == "error: budget exceeded: depth 23 needs 16777214 nodes > 10000000\n"
+
+
+def test_huge_fixed_depth_at_bad_prime_exits_4():
+    # Refused before the walk builds residues of depth*r + 1 digits.
+    sbad = str(ROOT / "perfbench" / "systems" / "sbad.json")
+    code, out, err = run_cli(
+        "green", "--system", sbad, "--point", "5:7", "--place", "p3", "--depth", "10000000",
+        timeout=20,
+    )
+    assert (code, out) == (4, "")
+    assert err == "error: budget exceeded: depth 10000000 needs at least 20000000 nodes > 10000000\n"
 
 
 def test_bad_budget_env_exit_2(files):
