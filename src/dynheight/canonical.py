@@ -17,6 +17,12 @@ the p-part of the coordinate gcd (exact residue arithmetic).  Increments
 shrink geometrically with ratio k/alpha, which gives the reported tail
 bounds.
 
+At the archimedean place a one-map system's tree is a chain: it is walked
+on tuples of Python floats through walk(), one state per level, and
+matches the numpy walk of the whole tree (used for k >= 2, and the
+reference in the tests) bit for bit when the lift's exponents are at most
+2; above that values, increments and tails agree within FLOAT_SLACK.
+
 On P^1 a finite-place step reads at most r = max_i ord_p(Res F_i) digits,
 so a state at level m of a depth-D walk keeps its residues mod
 p^((D-m)*r + 1) and states that agree on those digits merge; an adaptive
@@ -187,6 +193,7 @@ class CanonicalHeightResult:
     tail_bound: float
     per_place: dict[Place, float]
     depth_used: int
+    target_met: bool | None = None   # adaptive: tail_bound <= target_eps; fixed: None
 
 
 @dataclass
@@ -201,6 +208,63 @@ class OracleResult:
 
 
 def _green_arch(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProfile:
+    """Green walk at the archimedean place: the chain for one map, else the tree."""
+    if system.k == 1:
+        return _green_chain(system, coords, cfg)
+    return _green_tree(system, coords, cfg)
+
+
+def _arch_start(coords) -> tuple[float, tuple[float, ...]]:
+    """ln of the sup norm of integer coords, and the coords divided by it."""
+    coords = [int(c) for c in coords]
+    sup = max(abs(c) for c in coords)
+    if sup == 0:
+        raise ValidationError("zero lift coordinates")
+    return math.log(sup), tuple(float(Fraction(c, sup)) for c in coords)
+
+
+def _green_chain(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProfile:
+    """The archimedean walk of a one-map system: one state per level.
+
+    A state is a tuple of sup-normalized Python floats; walk() steps it with
+    HomogPoly.eval, and children records each parent's ln c.  Squares,
+    products, sums, the sup norm and np.log are the tree's operations on
+    the same values, so a chain gives the tree's bits wherever the lift's
+    exponents are at most 2 (float pow may differ from numpy's above that).
+    """
+    total, parent = _arch_start(coords)
+    (mp,) = system.maps
+    alpha = system.alpha
+    lncs: dict = {}
+
+    def children(state):
+        try:
+            y = mp.eval_raw(state)
+        except OverflowError as exc:
+            raise ValidationError("lift coefficient is too large for a float") from exc
+        c = max(abs(v) for v in y)
+        if not c > 0.0:
+            raise IndeterminatePointError("indeterminate point in word tree")
+        lncs[state] = float(np.log(c))
+        return (tuple(v / c for v in y),)
+
+    increments: list[float] = []
+    chat = 0.0
+    weight = 1.0
+    for _m, nodes, level in walk(parent, children, 1, cfg.depth, resolve_budget(cfg.node_budget)):
+        lnc = lncs.pop(parent)
+        (parent,) = level
+        weight /= alpha
+        inc = lnc * weight
+        chat = max(chat, abs(lnc) / alpha)
+        total += inc
+        increments.append(inc)
+        if _converged(system, cfg, increments, chat):
+            break
+    return GreenProfile(total, increments, chat, len(increments), nodes)
+
+
+def _green_tree(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProfile:
     """Level-by-level word-tree walk at the archimedean place.
 
     Levels are kept as arrays of sup-normalized points in lexicographic
@@ -208,14 +272,10 @@ def _green_arch(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProfi
     index order, so the output is reproducible for a given configuration.
     The lifts are evaluated by HomogPoly.eval on the coordinate columns.
     """
-    coords = [int(c) for c in coords]
-    sup = max(abs(c) for c in coords)
-    if sup == 0:
-        raise ValidationError("zero lift coordinates")
+    total, start = _arch_start(coords)
     k, alpha = system.k, system.alpha
-    nvars = len(coords)
-    total = math.log(sup)
-    x = np.array([[float(Fraction(c, sup)) for c in coords]])
+    nvars = len(start)
+    x = np.array([start])
     budget = resolve_budget(cfg.node_budget)
     increments: list[float] = []
     chat = 0.0
@@ -418,7 +478,8 @@ def canonical_height(
     The per-place entries are Green values on the primitive coordinates;
     their sum is the height.  The tail bound combines the per-place
     geometric tails (certified at finite places, monitored at the
-    archimedean place) plus a float-accumulation allowance.
+    archimedean place) plus a float-accumulation allowance; in adaptive
+    mode target_met says whether that whole bound is within target_eps.
     """
     cfg = cfg or GreenConfig()
     if system.dim != 1:
@@ -435,7 +496,8 @@ def canonical_height(
     tail = math.fsum(geom_tail(system, prof.chat, prof.depth) for _place, prof in profiles)
     tail += FLOAT_SLACK * (1.0 + abs(value))
     depth_used = max(prof.depth for _place, prof in profiles)
-    return CanonicalHeightResult(value, tail, per_place, depth_used)
+    target_met = tail <= cfg.target_eps if cfg.mode == "adaptive" else None
+    return CanonicalHeightResult(value, tail, per_place, depth_used, target_met)
 
 
 def canonical_height_oracle_detailed(

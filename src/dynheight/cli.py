@@ -181,6 +181,7 @@ def _height_json(result) -> str:
         "value": result.value,
         "tail_bound": result.tail_bound,
         "depth_used": result.depth_used,
+        "target_met": result.target_met,
         "per_place": {
             str(place): result.per_place[place]
             for place in sorted(result.per_place, key=lambda p: p.sort_key())
@@ -225,6 +226,9 @@ def height(system_path, point_text, depth, eps, fmt, out):
     point = parse_point(point_text)
     result = canonical_height(system, point, _green_cfg(depth, eps))
     _emit(_height_json(result) if fmt == "json" else _height_text(result), out)
+    if result.target_met is False:
+        tail = _fmt(result.tail_bound)
+        click.echo(f"warning: target not met: tail_bound {tail} > --eps {eps:g}", err=True)
 
 
 @cli.command()

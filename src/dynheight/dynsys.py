@@ -167,16 +167,17 @@ class HomogPoly:
         """The one lift evaluator: sum of c * (x_0^e_0 * x_1^e_1 * ...) in term order.
 
         coords may be ring elements (int, Fraction, TPoly), HomogPolys (which
-        composes) or float arrays (which evaluates row-wise).  The fixed term
-        order and association make float sums reproducible.  The zero
-        polynomial evaluates to the int 0.
+        composes), Python floats or float arrays (which evaluates row-wise).
+        The fixed term order and association make float sums reproducible; a
+        square is x * x, the same bits on floats as numpy's square on arrays.
+        The zero polynomial evaluates to the int 0.
         """
         acc = None
         for exps, c in self.terms.items():
             mono = None
             for x, e in zip(coords, exps):
                 if e:
-                    xe = x if e == 1 else x**e
+                    xe = x if e == 1 else x * x if e == 2 else x**e
                     mono = xe if mono is None else mono * xe
             term = c if mono is None else c * mono
             acc = term if acc is None else acc + term

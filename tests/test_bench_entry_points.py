@@ -46,3 +46,28 @@ def test_counted_arguments_exist():
     assert "n" in inspect.signature(canonical_height_oracle_detailed).parameters
     # the walks' counters read these fields of the returned profile
     assert {"nodes", "depth"} <= set(GreenProfile.__dataclass_fields__)
+
+
+def test_one_map_walks_enter_the_traced_arch_layer(monkeypatch):
+    # family-sweep's fibers are one-map systems; their archimedean walks must
+    # still pass through _green_arch, the entry point the tracer wraps.
+    from dynheight import canonical
+    from dynheight.canonical import GreenConfig, canonical_height, green_profile
+    from dynheight.dynsys import Morphism, validate_system
+    from dynheight.exactnum import INFINITY
+    from dynheight.projective import parse_point
+
+    calls = {"_green_arch": 0, "_green_chain": 0}
+    for name in calls:
+        real = getattr(canonical, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(canonical, name, counting)
+    system = validate_system([Morphism.from_strings(["X0^2+X1^2", "X1^2"], dim=1)])
+    assert system.k == 1
+    green_profile(system, (3, 1), INFINITY, GreenConfig(depth=5))
+    canonical_height(system, parse_point("3:1"), GreenConfig(depth=5))
+    assert calls == {"_green_arch": 2, "_green_chain": 2}

@@ -3,12 +3,14 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dynheight import canonical
 from dynheight.canonical import (
+    FLOAT_SLACK,
     GreenConfig,
     canonical_height,
     canonical_height_oracle_detailed,
@@ -21,15 +23,18 @@ from dynheight.canonical import (
     metric_equality_report,
     walk,
 )
-from dynheight.dynsys import HomogPoly, Morphism, validate_system
+from dynheight.dynsys import HomogPoly, Morphism, PolarizedSystem, validate_system
 from dynheight.errors import (
     BudgetExceededError,
+    DynHeightError,
+    IndeterminatePointError,
     NonCommutingError,
     PointOnDivisorError,
     ValidationError,
 )
 from dynheight.exactnum import INFINITY, Place
-from dynheight.family import ParamSystem, Section, ff_canonical_height
+from dynheight.cli import load_system_file
+from dynheight.family import ParamSystem, Section, ff_canonical_height, specialize
 from dynheight.projective import normalize, parse_point, weil_height
 
 
@@ -239,6 +244,10 @@ def test_canonical_height_result_invariants():
     r = canonical_height(CHEB, parse_point("3:1"), CFG)
     assert r.value == pytest.approx(math.fsum(r.per_place.values()), abs=1e-15)
     assert r.tail_bound >= 0 and r.depth_used == 20
+    assert r.target_met is None  # fixed mode sets no target
+    for eps, met in ((1e-8, True), (1e-13, False)):
+        r = canonical_height(X2P1, parse_point("3:1"), GreenConfig(60, eps, "adaptive"))
+        assert r.target_met is met and (r.tail_bound <= eps) is met
 
 
 def test_oracle_examples():
@@ -351,6 +360,107 @@ def test_adaptive_mode_matches_fixed():
         assert canonical_height(system, p, cfg_a).value == pytest.approx(
             canonical_height(system, p, GreenConfig(depth=21)).value, abs=1e-7
         )
+
+
+def _arch_profile(walker, system, coords, cfg):
+    prof = walker(system, coords, cfg)
+    return (prof.value, prof.increments, prof.chat, prof.depth, prof.nodes)
+
+
+ARCH_CFGS = (GreenConfig(depth=20), GreenConfig(depth=60, target_eps=1e-9, mode="adaptive"))
+ARCH_POINTS = ((3, 1), (0, 1), (1, 0), (-7, 5), (123456, 789), (2**70 + 1, 3))
+
+
+SYSTEMS = Path(__file__).resolve().parents[1] / "scripts" / "systems"
+
+
+def _fibers(name, ts):
+    family = load_system_file(SYSTEMS / name).family
+    return [specialize(family, Fraction(t)) for t in ts]
+
+
+def _assert_chain_equals_tree(system, coords, cfg):
+    chain = _arch_profile(canonical._green_chain, system, coords, cfg)
+    assert chain == _arch_profile(canonical._green_tree, system, coords, cfg), (
+        str(system.maps[0]), coords, cfg,
+    )
+
+
+def test_chain_walk_equals_tree_on_exponent_two_lifts():
+    # The chain squares as x*x and takes np.log of each sup norm, the tree's
+    # operations on the same values, so the profiles are equal bit for bit.
+    systems = [X2P1, X6]
+    systems += _fibers("x2plust.json", ("-2", "1/3", "5", "-17/4", "1000", "-19/10", "-7/4"))
+    systems += _fibers("ty2_family.json", ("2", "-3", "7/2", "1/1024"))
+    for system in systems:
+        for cfg in ARCH_CFGS:
+            for coords in ARCH_POINTS:
+                _assert_chain_equals_tree(system, coords, cfg)
+
+
+def _assert_chain_close_to_tree(system, coords, cfg):
+    value, incs, chat, depth, nodes = _arch_profile(canonical._green_chain, system, coords, cfg)
+    ref = _arch_profile(canonical._green_tree, system, coords, cfg)
+    assert (depth, nodes) == ref[3:]
+    assert abs(value - ref[0]) <= FLOAT_SLACK
+    assert all(abs(a - b) <= FLOAT_SLACK for a, b in zip(incs, ref[1]))
+    # chat is a maximum over levels: once rounding has moved a chaotic orbit
+    # (T6 on [-2, 2]), the two walks' deep levels visit different points and
+    # their chat can differ by O(1), but only where (k/alpha)^m makes the tail
+    # negligible.
+    tails = [canonical.geom_tail(system, c, depth) for c in (chat, ref[2])]
+    assert abs(tails[0] - tails[1]) <= FLOAT_SLACK
+
+
+def test_chain_walk_near_tree_on_higher_exponents():
+    # Float pow on X0^6, X0^4*X1^2, ... need not round like numpy's pow.
+    for cfg in ARCH_CFGS:
+        for coords in ARCH_POINTS:
+            _assert_chain_close_to_tree(CHEB6, coords, cfg)
+
+
+@given(
+    st.integers(2, 4).flatmap(
+        lambda d: st.tuples(
+            *[st.lists(st.integers(-9, 9), min_size=d + 1, max_size=d + 1) for _ in range(2)]
+        )
+    ),
+    st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+)
+@settings(max_examples=60, deadline=None)
+def test_chain_walk_near_tree_random_lifts(rows, coords):
+    try:
+        system = validate_system([_binary_morphism(rows)])
+    except ValidationError:
+        assume(False)
+    assume(coords != (0, 0))
+    for cfg in ARCH_CFGS:
+        if system.alpha == 2:  # squares and products only: the same bits
+            _assert_chain_equals_tree(system, coords, cfg)
+        else:
+            _assert_chain_close_to_tree(system, coords, cfg)
+
+
+def test_chain_walk_raises_like_tree():
+    bad = Morphism.from_strings(["X0^2", "X0*X1", "X0*X2"], dim=2)
+    non_morphism = PolarizedSystem(maps=(bad,), k=1, alpha=2, dim=2)
+    huge = validate_system([m(f"{10**400}*X0^2+X1^2", "X1^2", norm=False)])
+    cases = [
+        (X2P1, (0, 0), CFG),
+        (X2P1, (3, 1), GreenConfig(depth=30, node_budget=10)),
+        (non_morphism, (0, 1, 1), CFG),
+        (huge, (1, 1), CFG),
+    ]
+    for system, coords, cfg in cases:
+        raised = []
+        for walker in (canonical._green_chain, canonical._green_tree):
+            with pytest.raises(DynHeightError) as info:
+                walker(system, coords, cfg)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1], (coords, raised)
+    assert raised[0][0] is ValidationError  # the last case: no float holds 10^400
+    with pytest.raises(IndeterminatePointError, match="indeterminate point in word tree"):
+        green_local(non_morphism, (0, 1, 1), INFINITY, CFG)
 
 
 def test_walk_merges_states_and_charges_distinct_ones():

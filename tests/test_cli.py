@@ -93,6 +93,23 @@ def test_height_json_format(files):
     assert "inf" in doc["per_place"]
 
 
+def test_height_warns_when_eps_is_missed():
+    # The float allowance alone, 1e-10 * (1 + h), is above 1e-13.
+    args = ("height", "--system", str(ROOT / "scripts" / "systems" / "x2plus1.json"),
+            "--point", "3:1", "--eps", "1e-13")
+    code, out, err = run_cli(*args)
+    assert code == 0 and "tail_bound 2.15475063122e-10" in out
+    assert err == "warning: target not met: tail_bound 2.15475063122e-10 > --eps 1e-13\n"
+    code, out, _err = run_cli(*args, "--format", "json")
+    assert code == 0 and json.loads(out)["target_met"] is False
+    monomial = str(ROOT / "scripts" / "systems" / "monomial.json")
+    code, out, err = run_cli("height", "--system", monomial, "--point", "2:1", "--eps", "1e-8",
+                             "--format", "json")
+    assert (code, err) == (0, "") and json.loads(out)["target_met"] is True
+    code, out, err = run_cli("height", "--system", monomial, "--point", "2:1", "--format", "json")
+    assert (code, err) == (0, "") and json.loads(out)["target_met"] is None
+
+
 def test_oracle_and_green_and_local(files):
     code, out, _err = run_cli("oracle", "--system", files["monomial"], "--point", "2:1", "--depth", "6")
     assert code == 0 and abs(float(out.splitlines()[0].split()[1]) - math.log(2)) < 1e-10

@@ -85,6 +85,19 @@ def test_morphism_eval_examples():
         m("X0^2", "X0*X1").apply(parse_point("0:1"))
 
 
+def test_eval_on_floats_matches_float_columns():
+    # The one-map archimedean walk evaluates Python floats, the tree walk
+    # numpy columns; squares must round alike (x * x, not libm pow).
+    import numpy as np
+
+    rng = random.Random(5)
+    xs = [rng.uniform(-1, 1) for _ in range(5000)]
+    ys = [rng.uniform(-1, 1) for _ in range(5000)]
+    for poly in m("X0^2-3*X0*X1+7*X1^2", "X1^2").lift:
+        columns = poly.eval((np.array(xs), np.array(ys)))
+        assert [poly.eval((x, y)) for x, y in zip(xs, ys)] == columns.tolist()
+
+
 def test_compose_examples():
     assert X2.compose(X3).lift == m("X0^6", "X1^6").lift
     t6 = m("X0^6-6*X0^4*X1^2+9*X0^2*X1^4-2*X1^6", "X1^6")
