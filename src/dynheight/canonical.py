@@ -223,6 +223,17 @@ def _arch_start(coords) -> tuple[float, tuple[float, ...]]:
     return math.log(sup), tuple(float(Fraction(c, sup)) for c in coords)
 
 
+def _arch_fault(lo: float, depth: int) -> Exception:
+    """The error for a level whose sup norms are not all in (0, inf).
+
+    lo is the smallest sup norm: 0 means an image vanished, so the point is
+    indeterminate; inf or NaN means the images left the float range.
+    """
+    if lo == 0.0:
+        return IndeterminatePointError("indeterminate point in word tree")
+    return ValidationError(f"float overflow in the archimedean walk at depth {depth}")
+
+
 def _green_chain(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProfile:
     """The archimedean walk of a one-map system: one state per level.
 
@@ -236,6 +247,7 @@ def _green_chain(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProf
     (mp,) = system.maps
     alpha = system.alpha
     lncs: dict = {}
+    increments: list[float] = []
 
     def children(state):
         try:
@@ -243,12 +255,11 @@ def _green_chain(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProf
         except OverflowError as exc:
             raise ValidationError("lift coefficient is too large for a float") from exc
         c = max(abs(v) for v in y)
-        if not c > 0.0:
-            raise IndeterminatePointError("indeterminate point in word tree")
+        if not 0.0 < c < math.inf:
+            raise _arch_fault(c, len(increments) + 1)
         lncs[state] = float(np.log(c))
         return (tuple(v / c for v in y),)
 
-    increments: list[float] = []
     chat = 0.0
     weight = 1.0
     for _m, nodes, level in walk(parent, children, 1, cfg.depth, resolve_budget(cfg.node_budget)):
@@ -264,6 +275,7 @@ def _green_chain(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProf
     return GreenProfile(total, increments, chat, len(increments), nodes)
 
 
+@np.errstate(over="ignore", invalid="ignore")       # overflows end in _arch_fault
 def _green_tree(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProfile:
     """Level-by-level word-tree walk at the archimedean place.
 
@@ -294,8 +306,8 @@ def _green_tree(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProfi
             except OverflowError as exc:
                 raise ValidationError("lift coefficient is too large for a float") from exc
             c = np.max(np.abs(y), axis=1)
-            if not np.all(c > 0.0):
-                raise IndeterminatePointError("indeterminate point in word tree")
+            if not (c.min() > 0.0 and c.max() < math.inf):
+                raise _arch_fault(c.min(), m)
             y /= c[:, None]
             children.append(y)
             lncs.append(np.log(c))

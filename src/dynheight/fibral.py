@@ -157,16 +157,21 @@ class ComponentWeights:
         return self.alpha > self.n * self.k
 
 
-def _action_rows(alpha: Fraction, actions: list[PermTypeMatrix]) -> list[list[Fraction]]:
+def _balance_rows(alpha: Fraction, images) -> list[dict]:
+    """Sparse rows {j: coefficient} of alpha*v_t - sum_i v_{images[t][i]}."""
+    rows = []
+    for t, targets in enumerate(images):
+        row = {t: alpha}
+        for j in targets:
+            row[j] = row.get(j, 0) - 1
+        rows.append(row)
+    return rows
+
+
+def _action_rows(alpha: Fraction, actions: list[PermTypeMatrix]) -> list[dict]:
     # Row t of the system is alpha*x_t - sum_i x_{A_i(t)} = c_t, i.e. the
     # matrix acting on x is the transpose of the column-convention ones.
-    n = actions[0].n
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for t in range(n):
-        rows[t][t] += Fraction(alpha)
-        for act in actions:
-            rows[t][act.image[t]] -= 1
-    return rows
+    return _balance_rows(alpha, zip(*(act.image for act in actions)))
 
 
 def solve_weights(alpha, actions, c) -> ComponentWeights:
@@ -238,9 +243,6 @@ class SyntheticModel:
                         f"point {pt.pid}: image component disagrees with action {i}"
                     )
 
-    def point(self, pid: int) -> ModelPoint:
-        return next(pt for pt in self.points if pt.pid == pid)
-
     def with_perturbed_intersection(self, pid: int, delta: Fraction) -> "SyntheticModel":
         pts = tuple(
             replace(pt, i_e=pt.i_e + delta) if pt.pid == pid else pt for pt in self.points
@@ -269,15 +271,8 @@ def build_synthetic(
     alpha = Fraction(alpha)
     actions = tuple(actions)
     c = tuple(Fraction(v) for v in c)
-    m = len(orbit)
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    rhs = [Fraction(0)] * m
-    for pid, (sigma, images, vf) in enumerate(orbit):
-        rows[pid][pid] += alpha
-        for qid in images:
-            rows[pid][qid] -= 1
-        rhs[pid] = -Fraction(vf)
-    lam = solve_exact(rows, rhs)
+    rows = _balance_rows(alpha, (images for _sigma, images, _vf in orbit))
+    lam = solve_exact(rows, [-Fraction(vf) for _sigma, _images, vf in orbit])
     if lam is None:
         raise ValidationError("orbit system is singular (alpha must exceed k)")
     weights = solve_weights(alpha, actions, c)
@@ -363,9 +358,9 @@ def verify_intersection_formula(model: SyntheticModel, contraction_steps: int = 
     weights = solve_weights(model.alpha, model.actions, model.c)
     rows = _action_rows(weights.alpha, list(model.actions))
     w_res = Fraction(0)
-    for t in range(model.n):
-        lhs = sum((rows[t][j] * weights.x[j] for j in range(model.n)), Fraction(0))
-        w_res = max(w_res, abs(lhs - model.c[t]))
+    for row, c_t in zip(rows, model.c):
+        lhs = sum((v * weights.x[j] for j, v in row.items()), Fraction(0))
+        w_res = max(w_res, abs(lhs - c_t))
 
     by_id = {pt.pid: pt for pt in model.points}
     lam = {pt.pid: pt.i_e + weights.x[pt.sigma] for pt in model.points}
@@ -383,13 +378,10 @@ def verify_intersection_formula(model: SyntheticModel, contraction_steps: int = 
 
     # Contraction uniqueness: iterate lambda <- (sum_i lambda(phi_i P) - vf)/alpha.
     alpha_f = float(model.alpha)
+    steps = [(pid, pt.images, float(pt.vf)) for pid, pt in by_id.items()]
     cur = {pid: 0.0 for pid in by_id}
     for _step in range(contraction_steps):
-        cur = {
-            pid: (math.fsum(cur[q] for q in by_id[pid].images) - float(by_id[pid].vf))
-            / alpha_f
-            for pid in cur
-        }
+        cur = {pid: (math.fsum(cur[q] for q in images) - vf) / alpha_f for pid, images, vf in steps}
     spread = max((abs(float(v)) for v in lam.values()), default=0.0)
     bound = (model.k / alpha_f) ** contraction_steps * spread + 1e-9
     uniq_err = max((abs(cur[pid] - float(lam[pid])) for pid in cur), default=0.0)

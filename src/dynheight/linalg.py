@@ -1,10 +1,22 @@
 """Exact determinants and linear solves used by the resultant and fibral code.
 
-Bareiss fraction-free elimination keeps every intermediate value in the
-ground ring (Z or Z[t]); the divisions it performs are exact by
-construction.  The rational solver clears denominators row by row, runs the
-same elimination on the augmented integer matrix, and back-substitutes with
-Fractions, so results are exact rationals.
+One Bareiss fraction-free elimination serves every routine; it keeps every
+intermediate value in the ground ring (Z or Z[t]), and the divisions it
+performs are exact by construction.
+
+Rows are sparse: a row is a {column: value} dict without zero entries.  For
+each column c in turn the pivot is the pending row with a nonzero entry in c
+and the fewest entries (ties go to the lowest position); the parity of its
+position among the pending rows gives the determinant's sign.  Bareiss then
+updates each pending row with an entry in c, over the union of its columns
+and the pivot row's, and drops the zeros; a row without one only changes
+by a factor, applied when the row is next touched.  So an orbit matrix
+with k+1 entries per row is never filled in densely.
+
+The rational solver clears denominators row by row, eliminates the
+augmented integer rows, and back-substitutes without fractions: with d the
+last pivot, y_c = (d*b_c - sum_j a_cj*y_j) / a_cc is an integer by
+Cramer's rule, and x_c = y_c / d is the one Fraction built per unknown.
 """
 
 from __future__ import annotations
@@ -17,41 +29,65 @@ from .polynomial import TPoly
 __all__ = ["det_int", "det_tpoly", "solve_exact"]
 
 
-def _eliminate(m: list[list]) -> int:
-    """Bareiss elimination in place on the leading square block of m.
+def _eliminate(rows: list[dict], n: int) -> tuple[int, list[tuple]]:
+    """Sparse Bareiss elimination of columns 0..n-1 of the rows.
 
-    Extra columns (an augmented right-hand side) are carried along; entries
-    below the diagonal are left stale.  Returns the sign of the row swaps,
-    so that sign * m[n-1][n-1] is the block's determinant, or 0 when the
-    block is singular.
+    Entries in columns n and above (an augmented right-hand side) are
+    carried along; the row dicts are consumed.  Returns the sign of the
+    pivot order and the pivots as (pivot value, rest of the pivot row) in
+    column order, so that sign * pivots[-1][0] is the determinant; the
+    sign is 0 when the rows are singular.
     """
-    n, width = len(m), len(m[0])
-    sign, prev = 1, 1
-    for r in range(n - 1):
-        if not m[r][r]:
-            swap = next((i for i in range(r + 1, n) if m[i][r]), None)
-            if swap is None:
-                return 0
-            m[r], m[swap] = m[swap], m[r]
+    # A pending row is kept with the index of the pivot its values were last
+    # brought to.  Bareiss rescales a row without an entry in the pivot
+    # column by piv/prev; those factors telescope, so the rescale waits
+    # until the row is next touched: by piv[now]/piv[then] when it becomes
+    # the pivot row, and folded into the update, whose division is by
+    # piv[then] instead of prev, when it is eliminated.
+    pending = [(row, 0) for row in rows]
+    scale = [1]
+    pivots = []
+    sign = 1
+    for c in range(n):
+        pos = None
+        for i, (row, _s) in enumerate(pending):
+            if c in row and (pos is None or len(row) < len(pending[pos][0])):
+                pos = i
+        if pos is None:
+            return 0, pivots
+        if pos & 1:
             sign = -sign
-        row_r = m[r]
-        piv = row_r[r]
-        for row in m[r + 1:]:
-            a = row[r]
-            for j in range(r + 1, width):
-                row[j] = (row[j] * piv - a * row_r[j]) // prev
-        prev = piv
-    return sign if m[n - 1][n - 1] else 0
+        rest, s = pending.pop(pos)
+        prev = scale[-1]
+        if s != len(scale) - 1:
+            rest = {j: v * prev // scale[s] for j, v in rest.items()}
+        piv = rest.pop(c)
+        pivots.append((piv, rest))
+        scale.append(piv)
+        for i, (row, s) in enumerate(pending):
+            a = row.pop(c, None)
+            if a is not None:
+                new = {j: v * piv for j, v in row.items()}
+                for j, v in rest.items():
+                    new[j] = new.get(j, 0) - a * v
+                q = scale[s]
+                pending[i] = ({j: v // q for j, v in new.items() if v}, len(scale) - 1)
+    return sign, pivots
+
+
+def _sparse(row) -> dict:
+    """A dense row as a {column: value} dict without zeros."""
+    return {j: v for j, v in enumerate(row) if v}
 
 
 def _det(rows: list[list], one):
-    m = [list(r) for r in rows]
-    if any(len(r) != len(m) for r in m):
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("square matrix required")
-    if not m:
+    if not n:
         return one
-    sign = _eliminate(m)
-    return sign * m[-1][-1]
+    sign, pivots = _eliminate([_sparse(r) for r in rows], n)
+    return sign * pivots[-1][0] if sign else 0 * one
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -65,22 +101,40 @@ def det_tpoly(rows: list[list[TPoly | int]]) -> TPoly:
     return _det(coerced, TPoly.const(1))
 
 
-def solve_exact(a_rows: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Solve A x = b exactly over Q; returns None when A is singular."""
+def solve_exact(a_rows: list, b: list[Fraction]) -> list[Fraction] | None:
+    """Solve A x = b exactly over Q; returns None when A is singular.
+
+    A row of A is a dense list or a {column: value} dict.
+    """
     n = len(a_rows)
-    if any(len(r) != n for r in a_rows) or len(b) != n:
+    if len(b) != n:
         raise ValueError("dimension mismatch")
+    aug = []
+    for row, rhs in zip(a_rows, b):
+        if isinstance(row, dict):
+            if any(not 0 <= j < n for j in row):
+                raise ValueError("dimension mismatch")
+            row = {j: v for j, v in row.items() if v}
+        elif len(row) != n:
+            raise ValueError("dimension mismatch")
+        else:
+            row = _sparse(row)
+        # Clear denominators over the row's nonzeros and its right-hand side.
+        cols = [*row, n]
+        aug.append({j: v for j, v in zip(cols, clear_denominators([*row.values(), rhs])) if v})
     if n == 0:
         return []
-    # Clear denominators row by row: integer augmented matrix, same solution.
-    aug = [clear_denominators([*row, rhs]) for row, rhs in zip(a_rows, b)]
-    if not _eliminate(aug):
+    sign, pivots = _eliminate(aug, n)
+    if not sign:
         return None
-    # Exact back substitution in Fractions.
-    x: list[Fraction] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * x[j]
-        x[i] = acc / aug[i][i]
-    return x
+    # Fraction-free back substitution: y = d*x is integral by Cramer's rule.
+    d = pivots[-1][0]
+    y = [0] * n
+    for c in range(n - 1, -1, -1):
+        piv, rest = pivots[c]
+        acc = d * rest.get(n, 0)
+        for j, v in rest.items():
+            if j < n:
+                acc -= v * y[j]
+        y[c] = acc // piv
+    return [Fraction(v, d) for v in y]

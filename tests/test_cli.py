@@ -138,6 +138,21 @@ def test_point_on_divisor_exit_code(files):
     assert code == 3 and "divisor" in err
 
 
+@pytest.mark.parametrize("extra_maps", [[], [{"lift": ["X0^2", "X1^2"]}]])
+def test_float_overflow_is_not_an_indeterminate_point(tmp_path, extra_maps):
+    # The image of 1:1 overflows the float range at the first level, on the
+    # one-map chain and on the two-map numpy tree alike.
+    big = str(10**308)
+    doc = {"space": {"dim": 1}, "maps": [{"lift": [f"{big}*X0^2+{big}*X1^2", "X1^2"]}, *extra_maps]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        "green", "--system", str(path), "--place", "inf", "--point", "1:1", "--depth", "5"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: float overflow in the archimedean walk at depth 1\n"
+
+
 def test_budget_exit_code(files):
     code, _out, err = run_cli(
         "height", "--system", files["monomial"], "--point", "2:1", "--depth", "40",

@@ -1,5 +1,6 @@
 """Component actions, spectral bounds, exact weight solves, models."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -151,10 +152,31 @@ def test_perturbed_model_fails_with_localized_diagnostic():
     # and so does every point mapping onto it
     preimages = {pt.pid for pt in model.points if target in pt.images}
     assert failing == preimages | {target} or failing == preimages
+    by_id = {pt.pid: pt for pt in bad.points}
     for pid, res in report.failures:
-        mult = sum(1 for q in bad.point(pid).images if q == target)
+        mult = sum(1 for q in by_id[pid].images if q == target)
         expected = Fraction(mult, 7) - (bad.alpha * Fraction(1, 7) if pid == target else 0)
         assert res == expected
+
+
+@pytest.mark.parametrize(
+    "seed, digest, summary",
+    [
+        (1, "f8dfbdf1df9cd6386ef987929908d96e4a4590df61ad77baa68aad06f183d849",
+         "PASS: weights residual 0, balance residual 0, fixed-point error 1.110e-16 (bound 1.000e-09)"),
+        (42, "721aecefb30079f9c3ec1c8c91176cc7c051101835c0db6817efd1375cd06701",
+         "PASS: weights residual 0, balance residual 0, fixed-point error 1.110e-16 (bound 1.273e-06)"),
+        (2024, "332487332922c4f3e4db109434bd3b217fdbcfc5b54078d97438c9c9100c037b",
+         "PASS: weights residual 0, balance residual 0, fixed-point error 6.939e-18 (bound 1.000e-09)"),
+    ],
+    ids=["seed1", "seed42", "seed2024"],
+)
+def test_benchmark_size_models_are_pinned(seed, digest, summary):
+    # Models of the benchmark's size (8 components, 3 maps, 120 points):
+    # every exact rational of the JSON and the verification report are fixed.
+    model = random_synthetic(seed, 8, 3, 120)
+    assert hashlib.sha256(model_to_json(model).encode()).hexdigest() == digest
+    assert verify_intersection_formula(model).summary() == summary
 
 
 def test_model_json_roundtrip():

@@ -2,17 +2,31 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dynheight.cli import main
-from dynheight.dynsys import parse_homog
+from dynheight.cli import load_system_file, main
+from dynheight.dynsys import Morphism, parse_homog
 from dynheight.errors import ValidationError
 from dynheight.linalg import det_int, det_tpoly, solve_exact
 from dynheight.polynomial import TPoly, parse_tpoly
 
+ROOT = Path(__file__).resolve().parents[1]
+
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=5).map(TPoly)
+
+
+@st.composite
+def sparse_square(draw, entries):
+    """An n x n matrix, n = 1..10, whose cells are nonzero with a drawn density."""
+    n = draw(st.integers(1, 10))
+    density = draw(st.floats(0, 1))
+    return [
+        [draw(entries) if draw(st.floats(0, 1)) < density else 0 for _ in range(n)]
+        for _ in range(n)
+    ]
 
 
 def _det_fraction_oracle(rows):
@@ -34,6 +48,23 @@ def _det_fraction_oracle(rows):
             for j in range(c, n):
                 m[i][j] -= f * m[c][j]
     return det
+
+
+def _gauss_jordan(a, b):
+    # Plain Gauss-Jordan over Q; None when a column has no pivot.
+    m = [[Fraction(v) for v in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
+    n = len(m)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            return None
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [v / m[c][c] for v in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [v - f * w for v, w in zip(m[i], m[c])]
+    return [row[n] for row in m]
 
 
 def test_parse_and_render():
@@ -109,6 +140,53 @@ def test_gcd_divides(a, b):
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=3, max_size=3))
 def test_bareiss_matches_fraction_oracle(rows):
     assert det_int(rows) == _det_fraction_oracle(rows)
+
+
+@given(sparse_square(st.integers(-9, 9)))
+def test_sparse_bareiss_det_matches_fraction_oracle(rows):
+    assert det_int(rows) == _det_fraction_oracle(rows)
+    assert det_tpoly(rows) == TPoly.const(_det_fraction_oracle(rows))
+
+
+@given(
+    sparse_square(st.fractions(min_value=-5, max_value=5, max_denominator=7)),
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7), min_size=10, max_size=10),
+)
+def test_sparse_solve_matches_gauss_jordan(a, b):
+    b = b[: len(a)]
+    expected = _gauss_jordan(a, b)
+    assert solve_exact(a, b) == expected
+    # Dict rows are the sparse form of the same system.
+    as_dicts = [{j: v for j, v in enumerate(row) if v} for row in a]
+    assert solve_exact(as_dicts, b) == expected
+
+
+def test_sparse_pivot_row_swap_sign():
+    # Column 0's pivot is the second pending row, the one with fewest
+    # entries, so the sign flips once.
+    rows = [[1, 2, 3], [4, 0, 0], [0, 5, 6]]
+    assert det_int(rows) == 12 == _det_fraction_oracle(rows)
+    assert det_tpoly(rows) == TPoly.const(12)
+    assert solve_exact(rows, [1, 2, 3]) == [Fraction(1, 2), Fraction(2), Fraction(-7, 6)]
+    assert det_int([[0, 1], [1, 0]]) == -1
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("x2plust.json", "1"),
+        ("ty2_family.json", "t^2"),
+        (["X0^3+t*X0*X1^2+X1^3", "t*X0^2*X1+2*X1^3"], "2*t^4 + t^3 - 8*t^2 + 8"),
+    ],
+    ids=["x2plust", "ty2_family", "cubic"],
+)
+def test_det_tpoly_sylvester_values(source, expected):
+    # Resultants over Z[t], each the determinant of a Sylvester matrix.
+    if isinstance(source, str):
+        (mp,) = load_system_file(ROOT / "scripts" / "systems" / source).family.maps
+    else:
+        mp = Morphism.from_strings(source, 1, allow_t=True)
+    assert mp.t_resultant() == parse_tpoly(expected)
 
 
 def test_det_tpoly():
