@@ -17,11 +17,13 @@ the p-part of the coordinate gcd (exact residue arithmetic).  Increments
 shrink geometrically with ratio k/alpha, which gives the reported tail
 bounds.
 
-At the archimedean place a one-map system's tree is a chain: it is walked
-on tuples of Python floats through walk(), one state per level, and
-matches the numpy walk of the whole tree (used for k >= 2, and the
+At the archimedean place one level loop (_arch_walk) serves two steps.  A
+one-map system's tree is a chain, stepped on a tuple of Python floats; it
+matches the numpy step over the whole tree (used for k >= 2, and the
 reference in the tests) bit for bit when the lift's exponents are at most
 2; above that values, increments and tails agree within FLOAT_SLACK.
+Floats never merge, so the merging walk() serves only the exact walks:
+the finite places, the oracle and the function-field height.
 
 On P^1 a finite-place step reads at most r = max_i ord_p(Res F_i) digits,
 so a state at level m of a depth-D walk keeps its residues mod
@@ -214,13 +216,40 @@ def _green_arch(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProfi
     return _green_tree(system, coords, cfg)
 
 
-def _arch_start(coords) -> tuple[float, tuple[float, ...]]:
-    """ln of the sup norm of integer coords, and the coords divided by it."""
+def _arch_walk(system: PolarizedSystem, coords, cfg: GreenConfig, step) -> GreenProfile:
+    """The archimedean level loop that the chain and the tree share.
+
+    Level 0 is the integer coords divided by their sup norm.  step(level, m)
+    maps the sup-normalized points of level m - 1 to those of level m and
+    returns (next level, sum of ln c over the level's images, the largest
+    |sum_i ln c_i| of one parent); a level is any sequence with one entry
+    per point.
+    """
     coords = [int(c) for c in coords]
     sup = max(abs(c) for c in coords)
     if sup == 0:
         raise ValidationError("zero lift coordinates")
-    return math.log(sup), tuple(float(Fraction(c, sup)) for c in coords)
+    total = math.log(sup)
+    level = [tuple(float(Fraction(c, sup)) for c in coords)]
+    budget = resolve_budget(cfg.node_budget)
+    increments: list[float] = []
+    chat = 0.0
+    nodes = 0
+    weight = 1.0
+    for m in range(1, cfg.depth + 1):
+        nodes = charge_level(nodes, system.k * len(level), m, budget)
+        try:
+            level, lnc_sum, lnc_max = step(level, m)
+        except OverflowError as exc:
+            raise ValidationError("lift coefficient is too large for a float") from exc
+        weight /= system.alpha
+        inc = lnc_sum * weight
+        chat = max(chat, lnc_max / system.alpha)
+        total += inc
+        increments.append(inc)
+        if _converged(system, cfg, increments, chat):
+            break
+    return GreenProfile(total, increments, chat, len(increments), nodes)
 
 
 def _arch_fault(lo: float, depth: int) -> Exception:
@@ -235,92 +264,58 @@ def _arch_fault(lo: float, depth: int) -> Exception:
 
 
 def _green_chain(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProfile:
-    """The archimedean walk of a one-map system: one state per level.
+    """The archimedean walk of a one-map system: one point per level.
 
-    A state is a tuple of sup-normalized Python floats; walk() steps it with
-    HomogPoly.eval, and children records each parent's ln c.  Squares,
-    products, sums, the sup norm and np.log are the tree's operations on
-    the same values, so a chain gives the tree's bits wherever the lift's
-    exponents are at most 2 (float pow may differ from numpy's above that).
+    The point is a tuple of sup-normalized Python floats, stepped with
+    HomogPoly.eval.  Squares, products, sums, the sup norm and np.log are
+    the tree's operations on the same values, so a chain gives the tree's
+    bits wherever the lift's exponents are at most 2 (float pow may differ
+    from numpy's above that).
     """
-    total, parent = _arch_start(coords)
     (mp,) = system.maps
-    alpha = system.alpha
-    lncs: dict = {}
-    increments: list[float] = []
 
-    def children(state):
-        try:
-            y = mp.eval_raw(state)
-        except OverflowError as exc:
-            raise ValidationError("lift coefficient is too large for a float") from exc
+    def step(level, m):
+        y = mp.eval_raw(level[0])
         c = max(abs(v) for v in y)
         if not 0.0 < c < math.inf:
-            raise _arch_fault(c, len(increments) + 1)
-        lncs[state] = float(np.log(c))
-        return (tuple(v / c for v in y),)
+            raise _arch_fault(c, m)
+        lnc = float(np.log(c))
+        return [tuple(v / c for v in y)], lnc, abs(lnc)
 
-    chat = 0.0
-    weight = 1.0
-    for _m, nodes, level in walk(parent, children, 1, cfg.depth, resolve_budget(cfg.node_budget)):
-        lnc = lncs.pop(parent)
-        (parent,) = level
-        weight /= alpha
-        inc = lnc * weight
-        chat = max(chat, abs(lnc) / alpha)
-        total += inc
-        increments.append(inc)
-        if _converged(system, cfg, increments, chat):
-            break
-    return GreenProfile(total, increments, chat, len(increments), nodes)
+    return _arch_walk(system, coords, cfg, step)
 
 
 @np.errstate(over="ignore", invalid="ignore")       # overflows end in _arch_fault
 def _green_tree(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProfile:
-    """Level-by-level word-tree walk at the archimedean place.
+    """The archimedean walk of the whole word tree, one numpy array per level.
 
-    Levels are kept as arrays of sup-normalized points in lexicographic
-    word order; the per-level log contributions are reduced in that fixed
-    index order, so the output is reproducible for a given configuration.
-    The lifts are evaluated by HomogPoly.eval on the coordinate columns.
+    The lifts are evaluated by HomogPoly.eval on the coordinate columns, and
+    the sup norm is an elementwise maximum over the image columns.  Map i's
+    images of row r go to out[r, i], so out.reshape(n*k, N+1) is the next
+    level in lexicographic word order.  The log contributions are reduced
+    over the (n, k) array in that fixed index order, so the output is
+    reproducible for a given configuration.
     """
-    total, start = _arch_start(coords)
-    k, alpha = system.k, system.alpha
-    nvars = len(start)
-    x = np.array([start])
-    budget = resolve_budget(cfg.node_budget)
-    increments: list[float] = []
-    chat = 0.0
-    nodes = 0
-    weight = 1.0
-    for m in range(1, cfg.depth + 1):
-        nodes = charge_level(nodes, k * len(x), m, budget)
-        children = []
-        lncs = []
-        columns = [x[:, i] for i in range(nvars)]
-        for mp in system.maps:
-            y = np.empty_like(x)
-            try:
-                for j, v in enumerate(mp.eval_raw(columns)):
-                    y[:, j] = v                            # a zero coordinate is the scalar 0
-            except OverflowError as exc:
-                raise ValidationError("lift coefficient is too large for a float") from exc
-            c = np.max(np.abs(y), axis=1)
+    k = system.k
+
+    def step(level, m):
+        x = np.asarray(level)
+        n, nvars = x.shape
+        out = np.empty((n, k, nvars))
+        lnc = np.empty((n, k))
+        columns = [x[:, j] for j in range(nvars)]
+        for i, mp in enumerate(system.maps):
+            y = mp.eval_raw(columns)                       # a zero coordinate is the scalar 0
+            c = functools.reduce(np.maximum, map(np.abs, y))
             if not (c.min() > 0.0 and c.max() < math.inf):
                 raise _arch_fault(c.min(), m)
-            y /= c[:, None]
-            children.append(y)
-            lncs.append(np.log(c))
-        lnc = np.stack(lncs, axis=1)                       # (rows, k), parent-major
-        weight /= alpha
-        inc = float(np.sum(lnc)) * weight
-        chat = max(chat, float(np.max(np.abs(np.sum(lnc, axis=1)))) / alpha)
-        total += inc
-        increments.append(inc)
-        if m == cfg.depth or _converged(system, cfg, increments, chat):
-            break
-        x = np.stack(children, axis=1).reshape(-1, nvars)
-    return GreenProfile(total, increments, chat, len(increments), nodes)
+            for j, v in enumerate(y):
+                out[:, i, j] = v / c
+            lnc[:, i] = np.log(c)
+        lnc_max = float(np.max(np.abs(np.sum(lnc, axis=1))))
+        return out.reshape(n * k, nvars), float(np.sum(lnc)), lnc_max
+
+    return _arch_walk(system, coords, cfg, step)
 
 
 # -- finite-place walk ----------------------------------------------------------------

@@ -78,9 +78,11 @@ def load_system_file(path: str | Path) -> SystemFile:
     try:
         dim = int(doc["space"]["dim"])
         lifts = [[str(s) for s in entry["lift"]] for entry in doc["maps"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: bad system document: {exc}") from exc
     section_doc = doc.get("section")
+    if section_doc is not None and not (isinstance(section_doc, list) and len(section_doc) == dim + 1):
+        raise ValidationError(f"{path}: section must be a list of {dim + 1} polynomials in t")
     is_family = section_doc is not None or any("t" in s for lift in lifts for s in lift)
     maps = [Morphism.from_strings(lift, dim, allow_t=is_family) for lift in lifts]
     if is_family:

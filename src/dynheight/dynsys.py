@@ -229,7 +229,7 @@ def parse_homog(text: str, nvars: int, allow_t: bool = False) -> HomogPoly:
 class Morphism:
     """Self-map of P^N given by a homogeneous lift of common degree."""
 
-    __slots__ = ("lift", "nvars", "degree", "has_param", "_res_cache")
+    __slots__ = ("lift", "nvars", "degree", "has_param", "_resultant")
 
     def __init__(self, lift, normalize: bool = True):
         lift = tuple(lift)
@@ -252,7 +252,7 @@ class Morphism:
         self.nvars = nvars
         self.degree = degree
         self.has_param = any(p.has_param for p in lift)
-        self._res_cache: dict = {}
+        self._resultant = None
 
     # -- queries ---------------------------------------------------------------
 
@@ -327,21 +327,17 @@ class Morphism:
             rows.append(row)
         return rows[0], rows[1]
 
-    def resultant(self) -> int:
-        """Sylvester resultant of the two coordinate forms (P^1, Z coefficients)."""
-        if "int" not in self._res_cache:
-            if self.has_param:
-                raise ValidationError("use t_resultant for parametric lifts")
-            a, b = self._binary_form_rows()
-            self._res_cache["int"] = det_int(_sylvester(a, b, self.degree))
-        return self._res_cache["int"]
+    def resultant(self) -> int | TPoly:
+        """Sylvester resultant of the two coordinate forms (P^1).
 
-    def t_resultant(self) -> TPoly:
-        """Resultant of the coordinate forms as a polynomial in t (P^1)."""
-        if "t" not in self._res_cache:
+        Over the lift's coefficient ring: an int for a constant lift, a
+        TPoly for a parametric one.
+        """
+        if self._resultant is None:
             a, b = self._binary_form_rows()
-            self._res_cache["t"] = det_tpoly(_sylvester(a, b, self.degree))
-        return self._res_cache["t"]
+            det = det_tpoly if self.has_param else det_int
+            self._resultant = det(_sylvester(a, b, self.degree))
+        return self._resultant
 
     def specialize(self, t0: Fraction) -> "Morphism":
         """Substitute t = t0 and clear denominators to a canonical integer lift."""

@@ -41,7 +41,7 @@ from .errors import (
     PointOnDivisorError,
     ValidationError,
 )
-from .exactnum import Place, ord_p_rational
+from .exactnum import Place, ord_p
 from .polynomial import TPoly, parse_tpoly
 from .projective import (
     ProjPointFF,
@@ -89,7 +89,7 @@ class ParamSystem:
             raise ValidationError("parametric systems are supported on P^1 only")
         locus = TPoly.const(1)
         for m in maps:
-            locus = locus * m.t_resultant()
+            locus = locus * m.resultant()
         if locus.is_zero:
             raise ValidationError("generic fiber is not a morphism system (zero t-resultant)")
         return cls(maps=maps, k=k, alpha=alpha, good_locus=locus)
@@ -147,9 +147,7 @@ class FFHeightResult:
     depth: int
 
 
-def ff_canonical_height(
-    system: ParamSystem, section: Section, n: int, node_budget: int | None = None
-) -> FFHeightResult:
+def ff_canonical_height(system: ParamSystem, section: Section, n: int) -> FFHeightResult:
     """Exact word iteration of the section over Q(t), averaged by alpha^n."""
     if n < 0:
         raise ValidationError("depth must be nonnegative")
@@ -157,9 +155,8 @@ def ff_canonical_height(
     def children(point: ProjPointFF) -> list[ProjPointFF]:
         return [mp.apply_ff(point) for mp in system.maps]
 
-    budget = resolve_budget(node_budget)
     value = prev = Fraction(ff_height(section.point))
-    for m, _nodes, level in walk(section.point, children, system.k, n, budget):
+    for m, _nodes, level in walk(section.point, children, system.k, n, resolve_budget(None)):
         total = sum(words * ff_height(point) for point, words in level.items())
         prev, value = value, Fraction(total, system.alpha**m)
     return FFHeightResult(value, value - prev, n)
@@ -337,15 +334,14 @@ def boundary_local_height(locus: TPoly, t0: Fraction, v: Place) -> float:
         raise ValidationError("zero boundary polynomial")
     t0 = Fraction(t0)
     a, b = t0.numerator, t0.denominator
-    deg = max(locus.degree, 0)
+    deg = locus.degree
     r_hom = sum(c * a**i * b ** (deg - i) for i, c in enumerate(locus.c))
     if r_hom == 0:
         raise BadParameterError(f"t={t0} on boundary")
     if v.is_infinite:
         return deg * math.log(max(abs(a), b)) - math.log(abs(r_hom))
-    p = v.p
-    min_ord = min(ord_p_rational(a, p) if a else 10**9, ord_p_rational(b, p))
-    return (-deg * min_ord + ord_p_rational(r_hom, p)) * math.log(p)
+    # a and b are coprime, so max(|a|_p, |b|_p) = 1.
+    return ord_p(r_hom, v.p) * math.log(v.p)
 
 
 @dataclass

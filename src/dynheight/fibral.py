@@ -445,5 +445,5 @@ def model_from_json(text: str) -> SyntheticModel:
             points=points,
             seed=doc.get("seed"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad model file: {exc}") from exc

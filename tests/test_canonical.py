@@ -446,21 +446,133 @@ def test_chain_walk_raises_like_tree():
     non_morphism = PolarizedSystem(maps=(bad,), k=1, alpha=2, dim=2)
     huge = validate_system([m(f"{10**400}*X0^2+X1^2", "X1^2", norm=False)])
     cases = [
-        (X2P1, (0, 0), CFG),
-        (X2P1, (3, 1), GreenConfig(depth=30, node_budget=10)),
-        (non_morphism, (0, 1, 1), CFG),
-        (huge, (1, 1), CFG),
+        (X2P1, (0, 0), CFG, (ValidationError, "zero lift coordinates")),
+        (X2P1, (3, 1), GreenConfig(depth=30, node_budget=10),
+         (BudgetExceededError, "budget exceeded: depth 11 needs 11 nodes > 10")),
+        (non_morphism, (0, 1, 1), CFG,
+         (IndeterminatePointError, "indeterminate point in word tree")),
+        (huge, (1, 1), CFG, (ValidationError, "lift coefficient is too large for a float")),
     ]
-    for system, coords, cfg in cases:
+    for system, coords, cfg, expected in cases:
         raised = []
         for walker in (canonical._green_chain, canonical._green_tree):
             with pytest.raises(DynHeightError) as info:
                 walker(system, coords, cfg)
             raised.append((type(info.value), str(info.value)))
         assert raised[0] == raised[1], (coords, raised)
+        assert raised[0] == expected, (coords, raised)
     assert raised[0][0] is ValidationError  # the last case: no float holds 10^400
     with pytest.raises(IndeterminatePointError, match="indeterminate point in word tree"):
         green_local(non_morphism, (0, 1, 1), INFINITY, CFG)
+
+
+# float.hex of (value, chat, depth, nodes) and the increments of both
+# archimedean walks.  The chain-versus-tree tests compare two steps of one
+# level loop, so only these pins catch a fault in the loop itself.
+PIN_CFGS = {
+    "fixed": GreenConfig(depth=16),
+    "adaptive": GreenConfig(depth=40, target_eps=1e-6, mode="adaptive"),
+}
+PIN_POINTS = {"CHEB": (7, 5), "MONOMIAL": (-7, 5), "SBAD": (5, 7), "X2P1": (0, 1), "FIB": (1, 3)}
+ARCH_PINS = {
+    ("_green_tree", "CHEB", "fixed"): (
+        "0x1.9c0421eec7c42p+0", "0x1.1932a971aa21ap-1", 16, 131070,
+        "-0x1.0b9b0c271ade3p-2 -0x1.336cb609d7bd3p-5 -0x1.6ee990d5c956dp-7 "
+        "-0x1.e789c6f4ef8c3p-7 -0x1.062d2b8d33e06p-7 -0x1.39b3deeefb684p-9 "
+        "-0x1.c534b01b71076p-12 -0x1.ac9ab4b3bf7e4p-12 -0x1.16ffcf5f8a69ep-12 "
+        "-0x1.0e58da95b48ddp-22 -0x1.67e13b1a05cc3p-16 -0x1.541060329734dp-18 "
+        "-0x1.477a1b6a36e9fp-18 -0x1.14de7cea9673cp-20 -0x1.d9316bae6fe09p-21 "
+        "-0x1.4f0b6454a3b6bp-22",
+    ),
+    ("_green_tree", "CHEB", "adaptive"): (
+        "0x1.9c04272af5557p+0", "0x1.1932a971aa21ap-1", 15, 65534,
+        "-0x1.0b9b0c271ade3p-2 -0x1.336cb609d7bd3p-5 -0x1.6ee990d5c956dp-7 "
+        "-0x1.e789c6f4ef8c3p-7 -0x1.062d2b8d33e06p-7 -0x1.39b3deeefb684p-9 "
+        "-0x1.c534b01b71076p-12 -0x1.ac9ab4b3bf7e4p-12 -0x1.16ffcf5f8a69ep-12 "
+        "-0x1.0e58da95b48ddp-22 -0x1.67e13b1a05cc3p-16 -0x1.541060329734dp-18 "
+        "-0x1.477a1b6a36e9fp-18 -0x1.14de7cea9673cp-20 -0x1.d9316bae6fe09p-21",
+    ),
+    ("_green_tree", "MONOMIAL", "fixed"): (
+        "0x1.f2272ae325a57p+0", "0x0.0p+0", 16, 131070,
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0",
+    ),
+    ("_green_tree", "MONOMIAL", "adaptive"): (
+        "0x1.f2272ae325a57p+0", "0x0.0p+0", 2, 6,
+        "0x0.0p+0 0x0.0p+0",
+    ),
+    ("_green_tree", "SBAD", "fixed"): (
+        "0x1.45865de5cf68ap+1", "0x1.6ef3cc821b335p-2", 16, 131070,
+        "0x1.6ef3cc821b335p-2 0x1.258fd6ce7c291p-3 0x1.d5b2f14a6041bp-5 "
+        "0x1.77c25aa1e69afp-6 0x1.2c9b7bb4b87c0p-7 0x1.e0f8c5edf3f9ap-9 "
+        "0x1.80c704be5cc7bp-10 0x1.33d26a31e3d2fp-11 0x1.ec83dd1c9fb7fp-13 "
+        "0x1.8a03174a19600p-14 0x1.3b35ac3b47800p-15 0x1.f855e05ed8ccbp-17 "
+        "0x1.9377e6b2470a3p-18 0x1.42c6522838d4fp-19 0x1.023841b9c710cp-20 "
+        "0x1.9d26cf8fa4e79p-22",
+    ),
+    ("_green_tree", "SBAD", "adaptive"): (
+        "0x1.45865de5cf68ap+1", "0x1.6ef3cc821b335p-2", 16, 131070,
+        "0x1.6ef3cc821b335p-2 0x1.258fd6ce7c291p-3 0x1.d5b2f14a6041bp-5 "
+        "0x1.77c25aa1e69afp-6 0x1.2c9b7bb4b87c0p-7 0x1.e0f8c5edf3f9ap-9 "
+        "0x1.80c704be5cc7bp-10 0x1.33d26a31e3d2fp-11 0x1.ec83dd1c9fb7fp-13 "
+        "0x1.8a03174a19600p-14 0x1.3b35ac3b47800p-15 0x1.f855e05ed8ccbp-17 "
+        "0x1.9377e6b2470a3p-18 0x1.42c6522838d4fp-19 0x1.023841b9c710cp-20 "
+        "0x1.9d26cf8fa4e79p-22",
+    ),
+    ("_green_chain", "X2P1", "fixed"): (
+        "0x1.a1218b442cce1p-3", "0x1.62e42fefa39efp-2", 16, 16,
+        "0x0.0p+0 0x1.62e42fefa39efp-3 0x1.c8ff7c79a9a22p-6 "
+        "0x1.414bcc0a3665dp-9 0x1.83801cd7cc463p-15 0x1.24d75432402d7p-25 "
+        "0x1.4efbfffffc935p-45 0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0",
+    ),
+    ("_green_chain", "X2P1", "adaptive"): (
+        "0x1.a1218b442cce1p-3", "0x1.62e42fefa39efp-2", 20, 20,
+        "0x0.0p+0 0x1.62e42fefa39efp-3 0x1.c8ff7c79a9a22p-6 "
+        "0x1.414bcc0a3665dp-9 0x1.83801cd7cc463p-15 0x1.24d75432402d7p-25 "
+        "0x1.4efbfffffc935p-45 0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0",
+    ),
+    ("_green_chain", "FIB", "fixed"): (
+        "0x1.8f6e735298ebbp+1", "0x1.6742a858acb50p+0", 16, 16,
+        "0x1.6742a858acb50p+0 0x1.19e4bca56093dp-2 0x1.5c3f775e4855ap-3 "
+        "0x1.62d98729f600ep-4 0x1.62e42fd4e6937p-5 0x1.62e42fefa39efp-6 "
+        "0x1.62e42fefa39efp-7 0x1.62e42fefa39efp-8 0x1.62e42fefa39efp-9 "
+        "0x1.62e42fefa39efp-10 0x1.62e42fefa39efp-11 0x1.62e42fefa39efp-12 "
+        "0x1.62e42fefa39efp-13 0x1.62e42fefa39efp-14 0x1.62e42fefa39efp-15 "
+        "0x1.62e42fefa39efp-16",
+    ),
+    ("_green_chain", "FIB", "adaptive"): (
+        "0x1.8f6f21fee883bp+1", "0x1.6742a858acb50p+0", 22, 22,
+        "0x1.6742a858acb50p+0 0x1.19e4bca56093dp-2 0x1.5c3f775e4855ap-3 "
+        "0x1.62d98729f600ep-4 0x1.62e42fd4e6937p-5 0x1.62e42fefa39efp-6 "
+        "0x1.62e42fefa39efp-7 0x1.62e42fefa39efp-8 0x1.62e42fefa39efp-9 "
+        "0x1.62e42fefa39efp-10 0x1.62e42fefa39efp-11 0x1.62e42fefa39efp-12 "
+        "0x1.62e42fefa39efp-13 0x1.62e42fefa39efp-14 0x1.62e42fefa39efp-15 "
+        "0x1.62e42fefa39efp-16 0x1.62e42fefa39efp-17 0x1.62e42fefa39efp-18 "
+        "0x1.62e42fefa39efp-19 0x1.62e42fefa39efp-20 0x1.62e42fefa39efp-21 "
+        "0x1.62e42fefa39efp-22",
+    ),
+}
+
+
+def test_arch_walks_match_pinned_bits():
+    systems = {"CHEB": CHEB, "MONOMIAL": MONOMIAL, "SBAD": SBAD, "X2P1": X2P1}
+    (systems["FIB"],) = _fibers("x2plust.json", ("-17/4",))
+    for (walker, name, cfg), (value, chat, depth, nodes, incs) in ARCH_PINS.items():
+        prof = getattr(canonical, walker)(systems[name], PIN_POINTS[name], PIN_CFGS[cfg])
+        got = (prof.value.hex(), prof.chat.hex(), prof.depth, prof.nodes)
+        assert got == (value, chat, depth, nodes), (walker, name, cfg)
+        assert " ".join(x.hex() for x in prof.increments) == incs, (walker, name, cfg)
 
 
 def test_walk_merges_states_and_charges_distinct_ones():

@@ -24,6 +24,23 @@ X2PT_DOC = {
     "section": ["0", "1"],
 }
 BAD_DOC = {"space": {"dim": 1}, "maps": [{"lift": ["X0^2", "X0*X1"]}]}
+# Malformed files: each must end in exit 2, never a traceback.
+MALFORMED_SYSTEMS = {
+    "dim_one": {"space": {"dim": "one"}, "maps": MONOMIAL_DOC["maps"]},
+    "section_int": {**X2PT_DOC, "section": 5},
+    "section_short": {**X2PT_DOC, "section": ["t"]},
+    "section_str": {**X2PT_DOC, "section": "t"},
+}
+MODEL_DOC = {
+    "n": 1, "k": 1, "alpha": "2", "actions": [[1]], "c": ["0"],
+    "points": [{"id": 0, "sigma": 1, "images": [0], "iE": "0", "vf": "0"}],
+}
+MALFORMED_MODELS = {
+    "model_alpha": {**MODEL_DOC, "alpha": "1/0"},
+    "model_c": {**MODEL_DOC, "c": ["1/0"]},
+    "model_iE": {**MODEL_DOC, "points": [{**MODEL_DOC["points"][0], "iE": "1/0"}]},
+    "model_vf": {**MODEL_DOC, "points": [{**MODEL_DOC["points"][0], "vf": "1/0"}]},
+}
 
 
 def run_cli(*args, env=None, timeout=None):
@@ -46,6 +63,8 @@ def files(tmp_path):
         ("x2p1", X2P1_DOC),
         ("x2pt", X2PT_DOC),
         ("bad", BAD_DOC),
+        *MALFORMED_SYSTEMS.items(),
+        *MALFORMED_MODELS.items(),
     ]:
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
@@ -306,11 +325,13 @@ SOLVE = ["fibral", "solve", "--actions", "[[1,0],[0,1]]"]
         ["fibral", "synth", "--seed", "0", "--points", "3"],
         ["height", "--system", "{monomial}", "--point", "2:1", "--depth", "0"],
         ["sweep", "--system", "{x2pt}", "--t", "1e400"],
+        *(["validate", "--system", f"{{{name}}}"] for name in MALFORMED_SYSTEMS),
+        *(["fibral", "verify", "--model", f"{{{name}}}"] for name in MALFORMED_MODELS),
     ],
     ids=[
         "place-p4", "place-foo", "lift-a", "t-range", "t-zero-denominator", "alpha", "c",
         "actions-not-matrix", "components-0", "maps-0", "points-0", "points-below-components",
-        "depth-0", "huge-coefficient",
+        "depth-0", "huge-coefficient", *MALFORMED_SYSTEMS, *MALFORMED_MODELS,
     ],
 )
 def test_bad_arguments_exit_2(files, args):

@@ -175,6 +175,22 @@ def test_boundary_local_height_examples():
         boundary_local_height(t, 0, INFINITY)
 
 
+@pytest.mark.parametrize(
+    "locus, t0, p, expected",
+    [
+        ("t^2", "12/5", 2, "0x1.62e42fefa39efp+1"),                       # p | a
+        ("2*t^4 + t^3 - 8*t^2 + 8", "12/5", 2, "0x1.0a2b23f3bab73p+1"),   # p | a
+        ("t + 3", "0", 3, "0x1.193ea7aad030bp+0"),                        # a = 0
+        ("2*t^4 + t^3 - 8*t^2 + 8", "-9/4", 2, "0x1.62e42fefa39efp-1"),   # p | b
+        ("2*t^4 + t^3 - 8*t^2 + 8", "12/5", 11, "0x1.32ee3b77f374cp+1"),  # p does not divide ab
+        ("t + 3", "1/2", 7, "0x1.f2272ae325a57p+0"),                      # p does not divide ab
+    ],
+)
+def test_boundary_local_height_pinned_bits(locus, t0, p, expected):
+    # t0 = a/b in lowest terms: the value is ord_p(R_hom(a, b)) * ln p, to the bit.
+    assert boundary_local_height(parse_tpoly(locus), Fraction(t0), Place.prime(p)).hex() == expected
+
+
 def test_local_variation_sweep_family_ty2():
     sec = Section.from_strings(["1", "1"])
     ls = local_variation_sweep(TY2, sec, 1, Place.prime(2), [2, 4, 8, 16], GreenConfig(depth=25))

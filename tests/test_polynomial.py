@@ -181,12 +181,16 @@ def test_sparse_pivot_row_swap_sign():
     ids=["x2plust", "ty2_family", "cubic"],
 )
 def test_det_tpoly_sylvester_values(source, expected):
-    # Resultants over Z[t], each the determinant of a Sylvester matrix.
+    # Resultants over Z[t], each the determinant of a Sylvester matrix; a
+    # parametric lift's resultant is a TPoly, a constant lift's an int.
     if isinstance(source, str):
         (mp,) = load_system_file(ROOT / "scripts" / "systems" / source).family.maps
     else:
         mp = Morphism.from_strings(source, 1, allow_t=True)
-    assert mp.t_resultant() == parse_tpoly(expected)
+    res = mp.resultant()
+    assert isinstance(res, TPoly) and res == parse_tpoly(expected)
+    fiber = mp.specialize(Fraction(3)).resultant()
+    assert type(fiber) is int and fiber == res.eval(Fraction(3))
 
 
 def test_det_tpoly():
