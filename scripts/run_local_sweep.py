@@ -14,7 +14,7 @@ from dynheight import GreenConfig, Morphism, ParamSystem, Place, Section, local_
 
 def main():
     family = ParamSystem.build(
-        [Morphism.from_strings(["X0^2", "t*X1^2"], dim=1, allow_t=True)]
+        [Morphism.from_strings(["X0^2", "t*X1^2"], dim=1)]
     )
     section = Section.from_strings(["1", "1"])
     cfg = GreenConfig(depth=25)

@@ -20,7 +20,7 @@ def main():
     args = ap.parse_args()
 
     family = ParamSystem.build(
-        [Morphism.from_strings(["X0^2+t*X1^2", "X1^2"], dim=1, allow_t=True)]
+        [Morphism.from_strings(["X0^2+t*X1^2", "X1^2"], dim=1)]
     )
     section = Section.from_strings(["0", "1"])
     samples = [t for a in range(1, args.tmax + 1) for t in (a, -a)]

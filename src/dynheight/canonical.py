@@ -464,6 +464,8 @@ def _green_padic(system: PolarizedSystem, coords, p: int, cfg: GreenConfig) -> G
 
 def green_profile(system: PolarizedSystem, lift_coords, v: Place, cfg: GreenConfig) -> GreenProfile:
     """Green evaluation with diagnostics (value, increments, tail data)."""
+    if len(lift_coords) != system.dim + 1:
+        raise ValidationError("dimension mismatch")
     if v.is_infinite:
         return _green_arch(system, lift_coords, cfg)
     return _green_padic(system, lift_coords, v.p, cfg)

@@ -51,7 +51,7 @@ from .fibral import (
     solve_weights,
     verify_intersection_formula,
 )
-from .projective import normalize, parse_point
+from .projective import normalize, parse_coords, parse_point
 from .rng import Lcg64
 
 __all__ = ["main", "load_system_file"]
@@ -76,15 +76,17 @@ def load_system_file(path: str | Path) -> SystemFile:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     try:
-        dim = int(doc["space"]["dim"])
+        dim = doc["space"]["dim"]
         lifts = [[str(s) for s in entry["lift"]] for entry in doc["maps"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: bad system document: {exc}") from exc
+    if type(dim) is not int or dim < 1:
+        raise ValidationError(f"{path}: space.dim must be an integer >= 1, not {dim!r}")
     section_doc = doc.get("section")
     if section_doc is not None and not (isinstance(section_doc, list) and len(section_doc) == dim + 1):
         raise ValidationError(f"{path}: section must be a list of {dim + 1} polynomials in t")
     is_family = section_doc is not None or any("t" in s for lift in lifts for s in lift)
-    maps = [Morphism.from_strings(lift, dim, allow_t=is_family) for lift in lifts]
+    maps = [Morphism.from_strings(lift, dim) for lift in lifts]
     if is_family:
         family = ParamSystem.build(maps)
         section = Section.from_strings([str(s) for s in section_doc]) if section_doc else None
@@ -128,7 +130,7 @@ def _rational(text: str, what: str) -> Fraction:
 
 def _lift_coords(text: str) -> tuple[int, ...]:
     # Lift coordinates keep their scaling: clear denominators, nothing else.
-    return tuple(clear_denominators(_rational(p, "lift coordinate") for p in text.split(":")))
+    return tuple(clear_denominators(parse_coords(text)))
 
 
 def _parse_t_samples(text: str) -> list[Fraction]:
@@ -289,6 +291,8 @@ def green(system_path, point_text, place_text, depth, eps):
 @click.option("--out", default=None)
 def commute(system_path, other_path, place_text, samples, seed, depth, eps, out):
     """Metric and height equality reports for two commuting systems."""
+    if samples < 1:
+        raise ValidationError("--samples must be at least 1")
     left = _require_system(load_system_file(system_path))
     right = _require_system(load_system_file(other_path))
     cfg = _green_cfg(depth, eps)

@@ -13,15 +13,20 @@ that inequality is what makes the averaged height relation contract.
 
 On P^1, being a morphism is equivalent to the resultant of the two
 coordinate forms being nonzero, and the primes dividing the resultants are
-the only finite places that can carry a nonzero Green function.  On higher
+the only finite places that can carry a nonzero Green function.  The
+resultant is the determinant of the 2d x 2d Sylvester matrix, built as
+sparse rows straight from the lift: for form p and i in 0..d-1, the
+coefficient of X0^e0 X1^(d-e0) sits in column i + d - e0.  Its ring is the
+lift's: Z for a constant lift, Z[t] for a parametric one.  On higher
 P^N no resultant is computed; morphism-ness is user-asserted and failures
 surface as runtime "indeterminate point" errors.
 
 Lift polynomials are read by polynomial.parse_terms, which states the
-grammar.  HomogPoly.eval is the one lift evaluator, whatever the
-coordinates are: integers and residues in the exact walks, Z[t] in the
-function-field height, HomogPolys in compose, float columns in the
-archimedean walk.  Terms are stored in descending lexicographic exponent
+grammar; t always parses, and a parametric lift is rejected wherever a
+constant one is needed (validate_system, Morphism.apply).  HomogPoly.eval
+is the one lift evaluator, whatever the coordinates are: integers and
+residues in the exact walks, Z[t] in the function-field height,
+HomogPolys in compose, float columns in the archimedean walk.  Terms are stored in descending lexicographic exponent
 order and summed in that order as c * (x_0^e_0 * x_1^e_1 * ...), so the
 archimedean float sums are reproducible bit for bit.
 """
@@ -34,7 +39,7 @@ from math import gcd, lcm, prod
 
 from .errors import IndeterminatePointError, ValidationError
 from .exactnum import prime_factors
-from .linalg import det_int, det_tpoly
+from .linalg import det
 from .polynomial import TPoly, parse_terms
 from .projective import ProjPointFF, ProjPointQ, normalize, normalize_ff
 
@@ -217,12 +222,12 @@ class HomogPoly:
         return f"HomogPoly({self})"
 
 
-def parse_homog(text: str, nvars: int, allow_t: bool = False) -> HomogPoly:
-    """Parse a homogeneous polynomial in X0..X(nvars-1), optionally with t.
+def parse_homog(text: str, nvars: int) -> HomogPoly:
+    """Parse a homogeneous polynomial in X0..X(nvars-1) with coefficients in Z[t].
 
-    Coefficients without t become plain ints.
+    Coefficients without t become plain ints, so has_param tells the rings apart.
     """
-    terms = parse_terms(text, nvars, allow_t)
+    terms = parse_terms(text, nvars)
     return HomogPoly(nvars, {e: c.lead if c.is_constant else c for e, c in terms.items()})
 
 
@@ -274,9 +279,9 @@ class Morphism:
     # -- construction -------------------------------------------------------------
 
     @classmethod
-    def from_strings(cls, polys, dim: int, allow_t: bool = False, normalize: bool = True) -> "Morphism":
+    def from_strings(cls, polys, dim: int, normalize: bool = True) -> "Morphism":
         nvars = dim + 1
-        return cls([parse_homog(s, nvars, allow_t) for s in polys], normalize=normalize)
+        return cls([parse_homog(s, nvars) for s in polys], normalize=normalize)
 
     # -- evaluation -----------------------------------------------------------------
 
@@ -315,28 +320,23 @@ class Morphism:
             raise ValidationError("dimension mismatch")
         return Morphism([p.eval(inner.lift) if not p.is_zero else p for p in self.lift])
 
-    def _binary_form_rows(self) -> tuple[list, list]:
-        if self.dim != 1:
-            raise ValidationError("resultant is only defined on P^1")
-        d = self.degree
-        rows = []
-        for p in self.lift:
-            row = [0] * (d + 1)
-            for (e0, _e1), c in p.terms.items():
-                row[d - e0] = c
-            rows.append(row)
-        return rows[0], rows[1]
-
     def resultant(self) -> int | TPoly:
         """Sylvester resultant of the two coordinate forms (P^1).
 
         Over the lift's coefficient ring: an int for a constant lift, a
-        TPoly for a parametric one.
+        TPoly for a parametric one (zero included).
         """
         if self._resultant is None:
-            a, b = self._binary_form_rows()
-            det = det_tpoly if self.has_param else det_int
-            self._resultant = det(_sylvester(a, b, self.degree))
+            if self.dim != 1:
+                raise ValidationError("resultant is only defined on P^1")
+            d = self.degree
+            one = TPoly.const(1) if self.has_param else 1
+            rows = [
+                {i + d - e0: one * c for (e0, _e1), c in p.terms.items()}
+                for p in self.lift
+                for i in range(d)
+            ]
+            self._resultant = one * det(rows)
         return self._resultant
 
     def specialize(self, t0: Fraction) -> "Morphism":
@@ -350,18 +350,6 @@ class Morphism:
                 HomogPoly(self.nvars, {e: int(c * scale) for e, c in terms.items()})
             )
         return Morphism(lift, normalize=True)
-
-
-def _sylvester(a: list, b: list, d: int) -> list[list]:
-    n = 2 * d
-    m = [[0] * n for _ in range(n)]
-    for i in range(d):
-        for j, v in enumerate(a):
-            m[i][i + j] = v
-    for i in range(d):
-        for j, v in enumerate(b):
-            m[d + i][i + j] = v
-    return m
 
 
 def _canonical_lift(lift: tuple) -> tuple:

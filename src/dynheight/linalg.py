@@ -1,10 +1,12 @@
 """Exact determinants and linear solves used by the resultant and fibral code.
 
-One Bareiss fraction-free elimination serves every routine; it keeps every
-intermediate value in the ground ring (Z or Z[t]), and the divisions it
-performs are exact by construction.
+One Bareiss fraction-free elimination serves det and solve_exact; it keeps
+every intermediate value in the ground ring, read from the entries (ints
+for Z, TPolys throughout for Z[t]), and its divisions are exact by
+construction.
 
-Rows are sparse: a row is a {column: value} dict without zero entries.  For
+Both take one row format: a {column: value} dict, zeros optional, with
+columns 0..n-1 for n rows (any other column is a ValueError).  For
 each column c in turn the pivot is the pending row with a nonzero entry in c
 and the fewest entries (ties go to the lowest position); the parity of its
 position among the pending rows gives the determinant's sign.  Bareiss then
@@ -24,9 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactnum import clear_denominators
-from .polynomial import TPoly
 
-__all__ = ["det_int", "det_tpoly", "solve_exact"]
+__all__ = ["det", "solve_exact"]
 
 
 def _eliminate(rows: list[dict], n: int) -> tuple[int, list[tuple]]:
@@ -75,50 +76,36 @@ def _eliminate(rows: list[dict], n: int) -> tuple[int, list[tuple]]:
     return sign, pivots
 
 
-def _sparse(row) -> dict:
-    """A dense row as a {column: value} dict without zeros."""
-    return {j: v for j, v in enumerate(row) if v}
+def _checked(rows: list[dict], n: int) -> list[dict]:
+    """Copies of the rows without zeros; ValueError for a column outside 0..n-1."""
+    out = []
+    for row in rows:
+        if any(not 0 <= j < n for j in row):
+            raise ValueError("dimension mismatch")
+        out.append({j: v for j, v in row.items() if v})
+    return out
 
 
-def _det(rows: list[list], one):
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("square matrix required")
-    if not n:
-        return one
-    sign, pivots = _eliminate([_sparse(r) for r in rows], n)
-    return sign * pivots[-1][0] if sign else 0 * one
+def det(rows: list[dict]):
+    """Exact determinant of the square matrix with these dict rows.
 
-
-def det_int(rows: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix."""
-    return _det(rows, 1)
-
-
-def det_tpoly(rows: list[list[TPoly | int]]) -> TPoly:
-    """Exact determinant of a matrix over Z[t]; int entries are coerced."""
-    coerced = [[e if isinstance(e, TPoly) else TPoly.const(e) for e in r] for r in rows]
-    return _det(coerced, TPoly.const(1))
-
-
-def solve_exact(a_rows: list, b: list[Fraction]) -> list[Fraction] | None:
-    """Solve A x = b exactly over Q; returns None when A is singular.
-
-    A row of A is a dense list or a {column: value} dict.
+    The value is in the entries' ring, except that a singular matrix gives
+    the int 0 and the empty matrix the int 1.
     """
+    n = len(rows)
+    if not n:
+        return 1
+    sign, pivots = _eliminate(_checked(rows, n), n)
+    return sign * pivots[-1][0] if sign else 0
+
+
+def solve_exact(a_rows: list[dict], b: list[Fraction]) -> list[Fraction] | None:
+    """Solve A x = b exactly over Q, A given by dict rows; None when A is singular."""
     n = len(a_rows)
     if len(b) != n:
         raise ValueError("dimension mismatch")
     aug = []
-    for row, rhs in zip(a_rows, b):
-        if isinstance(row, dict):
-            if any(not 0 <= j < n for j in row):
-                raise ValueError("dimension mismatch")
-            row = {j: v for j, v in row.items() if v}
-        elif len(row) != n:
-            raise ValueError("dimension mismatch")
-        else:
-            row = _sparse(row)
+    for row, rhs in zip(_checked(a_rows, n), b):
         # Clear denominators over the row's nonzeros and its right-hand side.
         cols = [*row, n]
         aug.append({j: v for j, v in zip(cols, clear_denominators([*row.values(), rhs])) if v})

@@ -243,14 +243,14 @@ def _coerce(v) -> TPoly | None:
 _TOKEN = re.compile(r"\s*(?:(\d+)|(X\d+|t)|([+\-*^]))")
 
 
-def parse_terms(text: str, nvars: int, allow_t: bool) -> dict[tuple[int, ...], TPoly]:
-    """Parse a polynomial in X0..X(nvars-1), and in t when allow_t.
+def parse_terms(text: str, nvars: int) -> dict[tuple[int, ...], TPoly]:
+    """Parse a polynomial in X0..X(nvars-1) with coefficients in Z[t].
 
     Grammar (bit-exact): variables X0..XN and t, integer literals, operators
     + - * ^ with ^ applied to positive integer literals, no division,
     whitespace ignored.  Example: "X0^2 - 2*X1^2".  Returns the map from
-    exponent vectors to nonzero TPoly coefficients; every malformed input
-    raises ValidationError.
+    exponent vectors to nonzero TPoly coefficients (constant ones for a
+    polynomial without t); every malformed input raises ValidationError.
     """
     tokens: list[tuple[str, str]] = []
     pos = 0
@@ -283,8 +283,6 @@ def parse_terms(text: str, nvars: int, allow_t: bool) -> dict[tuple[int, ...], T
         if kind == "int":
             exps, c = const, TPoly.const(int(val))
         elif val == "t":
-            if not allow_t:
-                raise ValidationError("t is not allowed in this polynomial")
             exps, c = const, TPoly.t()
         elif kind == "var":
             i = int(val[1:])
@@ -326,4 +324,4 @@ def parse_terms(text: str, nvars: int, allow_t: bool) -> dict[tuple[int, ...], T
 
 def parse_tpoly(text: str) -> TPoly:
     """Parse an integer polynomial in t, e.g. "2*t^3 - t + 5" (see parse_terms)."""
-    return parse_terms(text, 0, allow_t=True).get((), TPoly())
+    return parse_terms(text, 0).get((), TPoly())

@@ -32,6 +32,7 @@ __all__ = [
     "ProjPointFF",
     "normalize",
     "normalize_ff",
+    "parse_coords",
     "parse_point",
     "weil_height",
     "local_height_hyperplane",
@@ -92,16 +93,20 @@ def normalize(raw) -> ProjPointQ:
     return ProjPointQ(tuple(ints))
 
 
-def parse_point(text: str) -> ProjPointQ:
-    """Parse "a0 : a1 : ... : aN" with rational entries."""
+def parse_coords(text: str) -> list[Fraction]:
+    """Parse "a0 : a1 : ... : aN" (N >= 1) into its rational entries, as written."""
     parts = [p.strip() for p in text.split(":")]
     if len(parts) < 2:
         raise ValidationError(f"cannot parse point {text!r}")
     try:
-        vals = [Fraction(p) for p in parts]
+        return [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse point {text!r}: {exc}") from exc
-    return normalize(vals)
+
+
+def parse_point(text: str) -> ProjPointQ:
+    """Parse "a0 : a1 : ... : aN" to the point's primitive representative."""
+    return normalize(parse_coords(text))
 
 
 def weil_height(point: ProjPointQ) -> float:

@@ -45,8 +45,8 @@ from dynheight.projective import (
 )
 
 
-def m(*polys, norm=True, allow_t=False):
-    return Morphism.from_strings(polys, dim=1, normalize=norm, allow_t=allow_t)
+def m(*polys, norm=True):
+    return Morphism.from_strings(polys, dim=1, normalize=norm)
 
 
 MONOMIAL = validate_system([m("X0^2", "X1^2"), m("X0^3", "X1^3")])
@@ -161,7 +161,7 @@ def test_criterion_4_commuting_equality():
 
 def test_criterion_5_specialization_limit():
     start = time.perf_counter()
-    family = ParamSystem.build([m("X0^2+t*X1^2", "X1^2", allow_t=True)])
+    family = ParamSystem.build([m("X0^2+t*X1^2", "X1^2")])
     section = Section.from_strings(["0", "1"])
     ff = ff_canonical_height(family, section, 8)
     stabilized = all(
@@ -189,14 +189,12 @@ def test_criterion_5_specialization_limit():
 
 
 def test_criterion_6_variation_envelope():
-    family = ParamSystem.build([m("X0^2+t*X1^2", "X1^2", allow_t=True)])
+    family = ParamSystem.build([m("X0^2+t*X1^2", "X1^2")])
     section = Section.from_strings(["0", "1"])
     cfg = GreenConfig(depth=40, mode="adaptive", target_eps=1e-9)
     ts = [t for a in range(1, 51) for t in (a, -a)]
     sweep = variation_sweep(family, [section], ts, cfg)
-    constant = ParamSystem.build(
-        [m("X0^2", "X1^2", allow_t=True), m("X0^3", "X1^3", allow_t=True)]
-    )
+    constant = ParamSystem.build([m("X0^2", "X1^2"), m("X0^3", "X1^3")])
     const_sweep = variation_sweep(
         constant, [Section.from_strings(["t", "1"])], [1, 2, 3, 5, 8, 13], cfg
     )
@@ -215,7 +213,7 @@ def test_criterion_6_variation_envelope():
 
 
 def test_criterion_7_local_variation():
-    family = ParamSystem.build([m("X0^2", "t*X1^2", allow_t=True)])
+    family = ParamSystem.build([m("X0^2", "t*X1^2")])
     section = Section.from_strings(["1", "1"])
     cfg = GreenConfig(depth=25)
     at2 = local_variation_sweep(family, section, 1, Place.prime(2), [2, 4, 8, 16], cfg)

@@ -285,6 +285,16 @@ def test_canonical_local_height_examples():
         canonical_local_height(MONOMIAL, parse_point("0:1"), 0, INFINITY, CFG)
 
 
+def test_lift_coordinates_of_the_wrong_length_are_rejected():
+    # A P^1 system takes two lift coordinates, at every place.
+    for coords in [(5,), (1, 2, 3)]:
+        for place in (INFINITY, Place.prime(2)):
+            with pytest.raises(ValidationError, match="dimension mismatch"):
+                green_local(MONOMIAL, coords, place, CFG)
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        canonical_local_height(MONOMIAL, parse_point("1:2:3"), 2, INFINITY, CFG)
+
+
 def test_canonical_local_heights_sum_to_height():
     from dynheight.exactnum import prime_factors
 
@@ -640,7 +650,7 @@ def test_budget_env_override(monkeypatch):
     with pytest.raises(BudgetExceededError):
         green_local(MONOMIAL, (2, 1), INFINITY, GreenConfig(depth=10))
     lifts = (["X0^2+t*X1^2", "X1^2"], ["X0^3", "X1^3"])
-    family = ParamSystem.build([Morphism.from_strings(p, dim=1, allow_t=True) for p in lifts])
+    family = ParamSystem.build([Morphism.from_strings(p, dim=1) for p in lifts])
     with pytest.raises(BudgetExceededError):
         ff_canonical_height(family, Section.from_strings(["0", "1"]), 8)
     # MONOMIAL's words collapse to m + 1 states at level m: 72 evaluations

@@ -12,6 +12,7 @@ import click
 import pytest
 
 from dynheight.cli import cli, load_system_file, main
+from dynheight.errors import ValidationError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,6 +28,11 @@ BAD_DOC = {"space": {"dim": 1}, "maps": [{"lift": ["X0^2", "X0*X1"]}]}
 # Malformed files: each must end in exit 2, never a traceback.
 MALFORMED_SYSTEMS = {
     "dim_one": {"space": {"dim": "one"}, "maps": MONOMIAL_DOC["maps"]},
+    "dim_float": {"space": {"dim": 1.5}, "maps": MONOMIAL_DOC["maps"]},
+    "dim_str": {"space": {"dim": "1"}, "maps": MONOMIAL_DOC["maps"]},
+    "dim_bool": {"space": {"dim": True}, "maps": MONOMIAL_DOC["maps"]},
+    "dim_negative": {"space": {"dim": -1}, "maps": MONOMIAL_DOC["maps"]},
+    "dim_zero": {"space": {"dim": 0}, "maps": MONOMIAL_DOC["maps"]},
     "section_int": {**X2PT_DOC, "section": 5},
     "section_short": {**X2PT_DOC, "section": ["t"]},
     "section_str": {**X2PT_DOC, "section": "t"},
@@ -325,19 +331,33 @@ SOLVE = ["fibral", "solve", "--actions", "[[1,0],[0,1]]"]
         ["fibral", "synth", "--seed", "0", "--points", "3"],
         ["height", "--system", "{monomial}", "--point", "2:1", "--depth", "0"],
         ["sweep", "--system", "{x2pt}", "--t", "1e400"],
+        ["green", "--system", "{monomial}", "--point", "5"],
+        ["green", "--system", "{monomial}", "--point", "5", "--place", "p2"],
+        ["green", "--system", "{monomial}", "--point", "1:2:3"],
+        ["local", "--system", "{monomial}", "--point", "1:2:3"],
+        ["commute", "--system", "{monomial}", "--system2", "{x6}", "--samples", "0"],
+        ["commute", "--system", "{monomial}", "--system2", "{x6}", "--samples", "-3"],
         *(["validate", "--system", f"{{{name}}}"] for name in MALFORMED_SYSTEMS),
         *(["fibral", "verify", "--model", f"{{{name}}}"] for name in MALFORMED_MODELS),
     ],
     ids=[
         "place-p4", "place-foo", "lift-a", "t-range", "t-zero-denominator", "alpha", "c",
         "actions-not-matrix", "components-0", "maps-0", "points-0", "points-below-components",
-        "depth-0", "huge-coefficient", *MALFORMED_SYSTEMS, *MALFORMED_MODELS,
+        "depth-0", "huge-coefficient", "green-one-coordinate", "green-one-coordinate-p2",
+        "green-three-coordinates", "local-three-coordinates", "samples-0", "samples-negative",
+        *MALFORMED_SYSTEMS, *MALFORMED_MODELS,
     ],
 )
 def test_bad_arguments_exit_2(files, args):
     code, _out, err = run_cli(*[a.format(**files) for a in args])
     assert code == 2 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", [name for name in MALFORMED_SYSTEMS if name.startswith("dim_")])
+def test_space_dim_must_be_a_positive_integer(files, name):
+    with pytest.raises(ValidationError, match="space.dim must be an integer >= 1"):
+        load_system_file(files[name])
 
 
 def test_main_entry_point(files, capsys):

@@ -4,20 +4,22 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dynheight.dynsys import (
+    HomogPoly,
     Morphism,
     commutes,
     parse_homog,
     validate_system,
 )
 from dynheight.errors import IndeterminatePointError, ValidationError
+from dynheight.polynomial import TPoly
 from dynheight.projective import normalize, parse_point
 
 
-def m(*polys, dim=1, allow_t=False, norm=True):
-    return Morphism.from_strings(polys, dim=dim, allow_t=allow_t, normalize=norm)
+def m(*polys, dim=1, norm=True):
+    return Morphism.from_strings(polys, dim=dim, normalize=norm)
 
 
 X2 = m("X0^2", "X1^2")
@@ -73,9 +75,10 @@ def test_parser_grammar():
         parse_homog("X0^2 + X1", 2)  # not homogeneous
     with pytest.raises(ValidationError):
         parse_homog("X0^2 / X1", 2)  # no division in the grammar
-    with pytest.raises(ValidationError):
-        parse_homog("t*X0^2", 2)  # t needs allow_t
-    assert parse_homog("t*X0^2", 2, allow_t=True).has_param
+    # t always parses; a coefficient without t stays a plain int.
+    assert parse_homog("t*X0^2", 2).has_param
+    p = parse_homog("3*X0*X1", 2)
+    assert not p.has_param and type(p.terms[(1, 1)]) is int
 
 
 def test_morphism_eval_examples():
@@ -111,6 +114,56 @@ def test_resultant_examples():
     for f, expected in [(X2, 1), (m("X0^2+X1^2", "X1^2"), 1), (m("X0^2", "4*X1^2", norm=False), 16)]:
         assert f.resultant() == expected
         assert _det_fraction_oracle(_sylvester_rows(f)) == expected
+
+
+@st.composite
+def binary_lifts(draw, coeffs):
+    """Two binary forms of a degree 1..5 with drawn coefficients; one may be zero."""
+    d = draw(st.integers(1, 5))
+    forms = [
+        {(e0, d - e0): draw(coeffs) for e0 in range(d + 1)} for _ in range(2)
+    ]
+    if draw(st.booleans()):
+        forms[draw(st.integers(0, 1))] = {}
+    lift = [HomogPoly(2, terms) for terms in forms]
+    assume(not all(p.is_zero for p in lift))
+    return Morphism(lift, normalize=False)
+
+
+def _entry_at(c, t0):
+    return c.eval(t0) if isinstance(c, TPoly) else c
+
+
+@given(binary_lifts(st.integers(-4, 4)))
+@settings(max_examples=150, deadline=None)
+def test_resultant_matches_dense_sylvester_oracle(f):
+    # The sparse Sylvester rows against the test's own dense matrix.
+    res = f.resultant()
+    assert type(res) is int
+    assert res == _det_fraction_oracle(_sylvester_rows(f))
+
+
+@given(binary_lifts(st.lists(st.integers(-3, 3), max_size=3).map(TPoly)))
+@settings(max_examples=80, deadline=None)
+def test_parametric_resultant_matches_dense_sylvester_oracle(f):
+    assume(f.has_param)
+    res = f.resultant()
+    assert isinstance(res, TPoly)
+    rows = _sylvester_rows(f)
+    for t0 in (-2, 0, 1, 3, Fraction(1, 2)):
+        at_t0 = [[_entry_at(c, t0) for c in row] for row in rows]
+        assert res.eval(t0) == _det_fraction_oracle(at_t0)
+
+
+def test_parametric_lift_guards():
+    # t parses everywhere; a parametric lift is refused where a constant
+    # one is needed.
+    f = m("X0^2+t*X1^2", "X1^2")
+    assert f.has_param
+    with pytest.raises(ValidationError, match="specialize first"):
+        validate_system([f])
+    with pytest.raises(ValidationError, match="parametric lift applied to a rational point"):
+        f.apply(parse_point("1:1"))
 
 
 def test_bad_primes_examples():

@@ -28,7 +28,7 @@ ADAPTIVE = GreenConfig(depth=40, mode="adaptive", target_eps=1e-9)
 
 
 def fam(*polys):
-    return ParamSystem.build([Morphism.from_strings(p, dim=1, allow_t=True) for p in polys])
+    return ParamSystem.build([Morphism.from_strings(p, dim=1) for p in polys])
 
 
 X2PT = fam(["X0^2+t*X1^2", "X1^2"])

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from dynheight.cli import load_system_file, main
 from dynheight.dynsys import Morphism, parse_homog
 from dynheight.errors import ValidationError
-from dynheight.linalg import det_int, det_tpoly, solve_exact
+from dynheight.linalg import det, solve_exact
 from dynheight.polynomial import TPoly, parse_tpoly
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,6 +27,12 @@ def sparse_square(draw, entries):
         [draw(entries) if draw(st.floats(0, 1)) < density else 0 for _ in range(n)]
         for _ in range(n)
     ]
+
+
+def _dict_rows(rows, ring=int):
+    # Dense rows as the {column: value} rows linalg takes; zeros are kept,
+    # and linalg drops them.
+    return [{j: ring(v) for j, v in enumerate(row)} for row in rows]
 
 
 def _det_fraction_oracle(rows):
@@ -89,7 +95,7 @@ def test_one_grammar_rejects_malformed(text, tmp_path, capsys):
     # Lifts and sections share one grammar: the same strings fail the same
     # way, and the CLI turns the failure into exit 2, not a traceback.
     with pytest.raises(ValidationError):
-        parse_homog(text, 2, allow_t=True)
+        parse_homog(text, 2)
     with pytest.raises(ValidationError):
         parse_tpoly(text)
     docs = [
@@ -139,13 +145,13 @@ def test_gcd_divides(a, b):
 
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=3, max_size=3))
 def test_bareiss_matches_fraction_oracle(rows):
-    assert det_int(rows) == _det_fraction_oracle(rows)
+    assert det(_dict_rows(rows)) == _det_fraction_oracle(rows)
 
 
 @given(sparse_square(st.integers(-9, 9)))
 def test_sparse_bareiss_det_matches_fraction_oracle(rows):
-    assert det_int(rows) == _det_fraction_oracle(rows)
-    assert det_tpoly(rows) == TPoly.const(_det_fraction_oracle(rows))
+    assert det(_dict_rows(rows)) == _det_fraction_oracle(rows)
+    assert det(_dict_rows(rows, TPoly.const)) == TPoly.const(_det_fraction_oracle(rows))
 
 
 @given(
@@ -155,8 +161,8 @@ def test_sparse_bareiss_det_matches_fraction_oracle(rows):
 def test_sparse_solve_matches_gauss_jordan(a, b):
     b = b[: len(a)]
     expected = _gauss_jordan(a, b)
-    assert solve_exact(a, b) == expected
-    # Dict rows are the sparse form of the same system.
+    assert solve_exact(_dict_rows(a, Fraction), b) == expected
+    # Zeros may be left out of a row.
     as_dicts = [{j: v for j, v in enumerate(row) if v} for row in a]
     assert solve_exact(as_dicts, b) == expected
 
@@ -165,10 +171,10 @@ def test_sparse_pivot_row_swap_sign():
     # Column 0's pivot is the second pending row, the one with fewest
     # entries, so the sign flips once.
     rows = [[1, 2, 3], [4, 0, 0], [0, 5, 6]]
-    assert det_int(rows) == 12 == _det_fraction_oracle(rows)
-    assert det_tpoly(rows) == TPoly.const(12)
-    assert solve_exact(rows, [1, 2, 3]) == [Fraction(1, 2), Fraction(2), Fraction(-7, 6)]
-    assert det_int([[0, 1], [1, 0]]) == -1
+    assert det(_dict_rows(rows)) == 12 == _det_fraction_oracle(rows)
+    assert det(_dict_rows(rows, TPoly.const)) == TPoly.const(12)
+    assert solve_exact(_dict_rows(rows), [1, 2, 3]) == [Fraction(1, 2), Fraction(2), Fraction(-7, 6)]
+    assert det([{1: 1}, {0: 1}]) == -1
 
 
 @pytest.mark.parametrize(
@@ -186,7 +192,7 @@ def test_det_tpoly_sylvester_values(source, expected):
     if isinstance(source, str):
         (mp,) = load_system_file(ROOT / "scripts" / "systems" / source).family.maps
     else:
-        mp = Morphism.from_strings(source, 1, allow_t=True)
+        mp = Morphism.from_strings(source, 1)
     res = mp.resultant()
     assert isinstance(res, TPoly) and res == parse_tpoly(expected)
     fiber = mp.specialize(Fraction(3)).resultant()
@@ -194,15 +200,22 @@ def test_det_tpoly_sylvester_values(source, expected):
 
 
 def test_det_tpoly():
-    t = TPoly.t()
-    rows = [[t, TPoly.const(1)], [TPoly.const(1), t]]
-    assert det_tpoly(rows) == parse_tpoly("t^2 - 1")
+    t, one = TPoly.t(), TPoly.const(1)
+    assert det([{0: t, 1: one}, {0: one, 1: t}]) == parse_tpoly("t^2 - 1")
     # A zero first pivot forces a row swap, which flips the sign.
-    one, zero = TPoly.const(1), TPoly()
-    assert det_tpoly([[zero, t, one], [one, zero, t], [t, one, zero]]) == parse_tpoly("t^3 + 1")
-    singular = det_tpoly([[t, one], [t * t, t]])
+    assert det([{1: t, 2: one}, {0: one, 2: t}, {0: t, 1: one}]) == parse_tpoly("t^3 + 1")
+    assert det([{0: t, 1: one}, {0: t * t, 1: t}]) == 0
+    assert det([{0: TPoly(), 1: one}, {1: t}]) == 0
+    # The resultant keeps a zero over Z[t] in Z[t].
+    singular = Morphism.from_strings(["t*X0^2", "t*X0*X1"], 1).resultant()
     assert isinstance(singular, TPoly) and singular.is_zero
-    assert det_tpoly([[0, one], [0, t]]) == TPoly()
+
+
+def test_det_rejects_columns_out_of_range():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        det([{0: 1, 2: 1}, {1: 1}])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_exact([{-1: 1}], [1])
 
 
 def test_tpoly_floordiv_is_exact():
@@ -216,14 +229,14 @@ def test_tpoly_floordiv_is_exact():
 
 
 def test_solve_exact():
-    a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
+    a = [{0: Fraction(2), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(3)}]
     b = [Fraction(5), Fraction(10)]
     x = solve_exact(a, b)
     assert x == [Fraction(1), Fraction(3)]
-    singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+    singular = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
     assert solve_exact(singular, b) is None
     # A zero last right-hand side is not a zero pivot.
-    assert solve_exact([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(3)]], [2, 0]) == [2, 0]
+    assert solve_exact([{0: Fraction(1), 1: Fraction(0)}, {1: Fraction(3)}], [2, 0]) == [2, 0]
 
 
 @given(
@@ -235,7 +248,7 @@ def test_solve_exact():
     st.lists(st.fractions(max_denominator=7, min_value=-5, max_value=5), min_size=3, max_size=3),
 )
 def test_solve_residual_zero(a, b):
-    x = solve_exact(a, b)
+    x = solve_exact(_dict_rows(a, Fraction), b)
     if x is not None:
         for row, rhs in zip(a, b):
             assert sum(r * v for r, v in zip(row, x)) == rhs
