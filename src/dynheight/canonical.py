@@ -25,10 +25,14 @@ reference in the tests) bit for bit when the lift's exponents are at most
 Floats never merge, so the merging walk() serves only the exact walks:
 the finite places, the oracle and the function-field height.
 
-On P^1 a finite-place step reads at most r = max_i ord_p(Res F_i) digits,
+On P^1 a finite-place step reads at most r = max_{i,j} ord_p(R_ij)
+digits, R_ij the integers of the Nullstellensatz certificates
+R_ij * X_j^(2d-1) = G_ij0 * F_i0 + G_ij1 * F_i1 (Morphism.certificate),
 so a state at level m of a depth-D walk keeps its residues mod
-p^((D-m)*r + 1) and states that agree on those digits merge; an adaptive
-walk takes D one level past the first whose certified tail is below eps.
+p^((D-m)*r + 1) and states that agree on those digits merge.  R_ij divides
+Res F_i, so this r is at most max_i ord_p(Res F_i), often below it; the
+certified tail still comes from the resultants.  An adaptive walk takes D
+one level past the first whose certified tail is below eps.
 
 The canonical height of a rational point is the sum of its Green values on
 primitive coordinates over the archimedean place and the bad primes;
@@ -112,8 +116,8 @@ class GreenConfig:
             raise ValidationError("depth must be at least 1")
         if self.mode not in ("fixed", "adaptive"):
             raise ValidationError("mode must be 'fixed' or 'adaptive'")
-        if self.target_eps <= 0:
-            raise ValidationError("target_eps must be positive")
+        if not (math.isfinite(self.target_eps) and self.target_eps > 0):
+            raise ValidationError(f"target_eps must be finite and positive, got {self.target_eps}")
 
 
 def resolve_budget(node_budget: int | None) -> int:
@@ -346,13 +350,13 @@ def _padic_walk(
     prec0: int | None = None,
 ) -> GreenProfile:
     # States are (unit-canonical residues, precision).  bound = (r, chat)
-    # comes from the resultants on P^1: the walk starts with horizon*r + 1
-    # digits and cuts every child to prec - r, so states that agree on every
-    # digit the remaining levels can read merge.  On P^N (bound None) it
-    # starts with prec0 digits, dividing an image by p^e leaves prec - e, and
-    # chat monitors the largest one-step increment.  children records each
-    # parent's valuation sum sum_i e_i; level m's valuations are
-    # words * esum summed over level m - 1.
+    # comes from the certificates and the resultants on P^1: the walk starts
+    # with horizon*r + 1 digits and cuts every child to prec - r, so states
+    # that agree on every digit the remaining levels can read merge.  On P^N
+    # (bound None) it starts with prec0 digits, dividing an image by p^e
+    # leaves prec - e, and chat monitors the largest one-step increment.
+    # children records each parent's valuation sum sum_i e_i; level m's
+    # valuations are words * esum summed over level m - 1.
     k, alpha = system.k, system.alpha
     budget = resolve_budget(cfg.node_budget)
     if cfg.mode == "fixed" and k * horizon > budget:
@@ -434,19 +438,25 @@ def _green_padic(system: PolarizedSystem, coords, p: int, cfg: GreenConfig) -> G
             f"images vanish {p}-adically beyond working precision: indeterminate point"
         )
     ords = [ord_p(res, p) for res in system.resultants()]
-    r = max(ords)
-    if r == 0:
+    if max(ords) == 0:
         # Good reduction: images of primitive tuples stay primitive, so the
         # walk contributes nothing beyond the initial content.
         exact = Fraction(-min(ord_p(c, p) for c in coords if c != 0))
         return GreenProfile(float(exact) * math.log(p), [], 0.0, 0, 0, exact)
     chat = float(Fraction(sum(ords), system.alpha)) * math.log(p)
-    # A primitive point's image has valuation at most r = max ord_p(Res), so
-    # a step reads at most r digits and the last step one more to find its
-    # valuation: a state at level m of a depth-D walk needs (D - m)*r + 1
-    # digits.  An adaptive walk meets its stop rule by the level after m*,
-    # the first level whose certified tail is below eps, so D = m* + 1; if
-    # float rounding says otherwise, the walk reruns against the depth cap.
+    # Let x be primitive, x_j a unit, and p^e | F_i(x).  The certificate
+    # R_ij * X_j^(2d-1) = G_ij0 * F_i0 + G_ij1 * F_i1 evaluated at x gives
+    # p^e | R_ij * x_j^(2d-1), so e <= ord_p(R_ij): an image has valuation
+    # at most r = max_{i,j} ord_p(R_ij).  So a step reads at most r digits
+    # and the last step one more to find its valuation: a state at level m
+    # of a depth-D walk needs (D - m)*r + 1 digits.  Since R_ij divides
+    # Res F_i, the certificates are needed only at bad primes.  chat keeps
+    # the resultant bound, so the horizon, the stop depth and every value
+    # are those of a walk trimmed by ord_p(Res); fewer states stay distinct.
+    # An adaptive walk meets its stop rule by the level after m*, the first
+    # level whose certified tail is below eps, so D = m* + 1; if float
+    # rounding says otherwise, the walk reruns against the depth cap.
+    r = max(ord_p(rj, p) for mp in system.maps for rj, _forms in mp.certificate())
     horizon = cfg.depth
     if cfg.mode == "adaptive":
         m_star = 1

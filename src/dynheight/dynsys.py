@@ -17,7 +17,10 @@ the only finite places that can carry a nonzero Green function.  The
 resultant is the determinant of the 2d x 2d Sylvester matrix, built as
 sparse rows straight from the lift: for form p and i in 0..d-1, the
 coefficient of X0^e0 X1^(d-e0) sits in column i + d - e0.  Its ring is the
-lift's: Z for a constant lift, Z[t] for a parametric one.  On higher
+lift's: Z for a constant lift, Z[t] for a parametric one.  The same rows,
+read as columns, give the Nullstellensatz certificate of Morphism.certificate:
+integers R_j and forms G_ji with R_j * X_j^(2d-1) = G_j0*F_0 + G_j1*F_1,
+which bound the p-adic valuation of an image (see canonical).  On higher
 P^N no resultant is computed; morphism-ness is user-asserted and failures
 surface as runtime "indeterminate point" errors.
 
@@ -39,7 +42,7 @@ from math import gcd, lcm, prod
 
 from .errors import IndeterminatePointError, ValidationError
 from .exactnum import prime_factors
-from .linalg import det
+from .linalg import det, solve_scaled
 from .polynomial import TPoly, parse_terms
 from .projective import ProjPointFF, ProjPointQ, normalize, normalize_ff
 
@@ -234,7 +237,7 @@ def parse_homog(text: str, nvars: int) -> HomogPoly:
 class Morphism:
     """Self-map of P^N given by a homogeneous lift of common degree."""
 
-    __slots__ = ("lift", "nvars", "degree", "has_param", "_resultant")
+    __slots__ = ("lift", "nvars", "degree", "has_param", "_resultant", "_certificate")
 
     def __init__(self, lift, normalize: bool = True):
         lift = tuple(lift)
@@ -258,6 +261,7 @@ class Morphism:
         self.degree = degree
         self.has_param = any(p.has_param for p in lift)
         self._resultant = None
+        self._certificate = None
 
     # -- queries ---------------------------------------------------------------
 
@@ -320,6 +324,22 @@ class Morphism:
             raise ValidationError("dimension mismatch")
         return Morphism([p.eval(inner.lift) if not p.is_zero else p for p in self.lift])
 
+    def _sylvester_rows(self, what: str) -> list[dict]:
+        """The 2d Sylvester rows of a map of P^1, entries in the lift's ring.
+
+        Row d*p + i is X0^(d-1-i) * X1^i * F_p, and column c holds its
+        coefficient of X0^(2d-1-c) * X1^c.
+        """
+        if self.dim != 1:
+            raise ValidationError(f"{what} is only defined on P^1")
+        d = self.degree
+        one = TPoly.const(1) if self.has_param else 1
+        return [
+            {i + d - e0: one * c for (e0, _e1), c in p.terms.items()}
+            for p in self.lift
+            for i in range(d)
+        ]
+
     def resultant(self) -> int | TPoly:
         """Sylvester resultant of the two coordinate forms (P^1).
 
@@ -327,17 +347,51 @@ class Morphism:
         TPoly for a parametric one (zero included).
         """
         if self._resultant is None:
-            if self.dim != 1:
-                raise ValidationError("resultant is only defined on P^1")
-            d = self.degree
             one = TPoly.const(1) if self.has_param else 1
-            rows = [
-                {i + d - e0: one * c for (e0, _e1), c in p.terms.items()}
-                for p in self.lift
-                for i in range(d)
-            ]
-            self._resultant = one * det(rows)
+            self._resultant = one * det(self._sylvester_rows("resultant"))
         return self._resultant
+
+    def certificate(self) -> tuple:
+        """Nullstellensatz certificate of a morphism of P^1.
+
+        Returns ((R_0, (G_00, G_01)), (R_1, (G_10, G_11))): for j = 0, 1,
+        R_j is the least positive integer with
+        R_j * X_j^(2d-1) = G_j0 * F_0 + G_j1 * F_1 for integer forms G_ji
+        of degree d - 1.  The coefficients of (G_j0, G_j1) are the g with
+        S^T g = R_j * e_c, S the Sylvester rows and c the column of
+        X_j^(2d-1).  S is invertible, so g / R_j = y / D is the unique
+        rational solution for e_c, where solve_scaled gives D = +-Res and
+        the integers y (Cramer's rule).  R_j, the lcm of its denominators,
+        is |D| / gcd(D, y), a divisor of the resultant.  Both j are solved
+        in one elimination, without Fractions.
+        """
+        if self._certificate is None:
+            if self.has_param:
+                raise ValidationError("parametric lift has no integer certificate (specialize first)")
+            d, n = self.degree, 2 * self.degree
+            # Row c of S^T is column c of S; columns n and n + 1 hold e_0
+            # and e_(n-1), the columns of X_0^(2d-1) and X_1^(2d-1).
+            rows: list[dict] = [{} for _ in range(n)]
+            for r, row in enumerate(self._sylvester_rows("certificate")):
+                for c, v in row.items():
+                    rows[c][r] = v
+            rows[0][n] = 1
+            rows[n - 1][n + 1] = 1
+            solved = solve_scaled(rows, 2)
+            if solved is None:
+                raise ValidationError(f"not a morphism: zero resultant for {self}")
+            signed_res, ys = solved
+            cert = []
+            for y in ys:
+                rj = abs(signed_res) // gcd(signed_res, *y)
+                scale = signed_res // rj
+                forms = tuple(
+                    HomogPoly(2, {(d - 1 - i, i): y[d * p + i] // scale for i in range(d)})
+                    for p in range(2)
+                )
+                cert.append((rj, forms))
+            self._certificate = tuple(cert)
+        return self._certificate
 
     def specialize(self, t0: Fraction) -> "Morphism":
         """Substitute t = t0 and clear denominators to a canonical integer lift."""

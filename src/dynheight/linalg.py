@@ -15,10 +15,11 @@ and the pivot row's, and drops the zeros; a row without one only changes
 by a factor, applied when the row is next touched.  So an orbit matrix
 with k+1 entries per row is never filled in densely.
 
-The rational solver clears denominators row by row, eliminates the
-augmented integer rows, and back-substitutes without fractions: with d the
-last pivot, y_c = (d*b_c - sum_j a_cj*y_j) / a_cc is an integer by
-Cramer's rule, and x_c = y_c / d is the one Fraction built per unknown.
+solve_scaled eliminates integer rows augmented by one column per
+right-hand side and back-substitutes each column without fractions: with
+d the last pivot, y_c = (d*b_c - sum_j a_cj*y_j) / a_cc is an integer by
+Cramer's rule.  solve_exact clears denominators row by row, solves with
+one right-hand side, and builds one Fraction x_c = y_c / d per unknown.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 from .exactnum import clear_denominators
 
-__all__ = ["det", "solve_exact"]
+__all__ = ["det", "solve_exact", "solve_scaled"]
 
 
 def _eliminate(rows: list[dict], n: int) -> tuple[int, list[tuple]]:
@@ -99,6 +100,33 @@ def det(rows: list[dict]):
     return sign * pivots[-1][0] if sign else 0
 
 
+def solve_scaled(rows: list[dict], w: int) -> tuple[int, list[list[int]]] | None:
+    """Fraction-free solve of n integer dict rows with w right-hand sides.
+
+    Columns 0..n-1 hold the matrix A and columns n..n+w-1 the right-hand
+    sides b_t; the row dicts are consumed.  Returns (d, ys), d the last
+    Bareiss pivot (+-det A) and ys[t] = d * x_t for A x_t = b_t, integral by
+    Cramer's rule; None when A is singular.
+    """
+    n = len(rows)
+    sign, pivots = _eliminate(rows, n)
+    if not sign:
+        return None
+    d = pivots[-1][0]
+    ys = []
+    for t in range(n, n + w):
+        y = [0] * n
+        for c in range(n - 1, -1, -1):
+            piv, rest = pivots[c]
+            acc = d * rest.get(t, 0)
+            for j, v in rest.items():
+                if j < n:
+                    acc -= v * y[j]
+            y[c] = acc // piv
+        ys.append(y)
+    return d, ys
+
+
 def solve_exact(a_rows: list[dict], b: list[Fraction]) -> list[Fraction] | None:
     """Solve A x = b exactly over Q, A given by dict rows; None when A is singular."""
     n = len(a_rows)
@@ -111,17 +139,8 @@ def solve_exact(a_rows: list[dict], b: list[Fraction]) -> list[Fraction] | None:
         aug.append({j: v for j, v in zip(cols, clear_denominators([*row.values(), rhs])) if v})
     if n == 0:
         return []
-    sign, pivots = _eliminate(aug, n)
-    if not sign:
+    solved = solve_scaled(aug, 1)
+    if solved is None:
         return None
-    # Fraction-free back substitution: y = d*x is integral by Cramer's rule.
-    d = pivots[-1][0]
-    y = [0] * n
-    for c in range(n - 1, -1, -1):
-        piv, rest = pivots[c]
-        acc = d * rest.get(n, 0)
-        for j, v in rest.items():
-            if j < n:
-                acc -= v * y[j]
-        y[c] = acc // piv
+    d, (y,) = solved
     return [Fraction(v, d) for v in y]

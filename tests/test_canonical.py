@@ -32,7 +32,7 @@ from dynheight.errors import (
     PointOnDivisorError,
     ValidationError,
 )
-from dynheight.exactnum import INFINITY, Place
+from dynheight.exactnum import INFINITY, Place, ord_p, prime_factors
 from dynheight.cli import load_system_file
 from dynheight.family import ParamSystem, Section, ff_canonical_height, specialize
 from dynheight.projective import normalize, parse_point, weil_height
@@ -181,6 +181,95 @@ def test_trimmed_padic_walk_matches_bruteforce_random(forms, depth):
             expected = _padic_green_bruteforce(system, coords, p, depth)
             prof = green_profile(system, coords, Place(p), GreenConfig(depth=depth))
             assert prof.exact == expected, (p, coords)
+
+
+def _certificate_denominator(f: Morphism, j: int) -> int:
+    """Independent R_j: dense Fraction Gauss-Jordan on S^T g = e_c, lcm of denominators.
+
+    S is built by HomogPoly products: row (p, i) is X0^(d-1-i)*X1^i*F_p,
+    column c its coefficient of X0^(2d-1-c)*X1^c.
+    """
+    d = f.degree
+    n = 2 * d
+    rows = []
+    for fp in f.lift:
+        for i in range(d):
+            prod = HomogPoly(2, {(d - 1 - i, i): 1}) * fp
+            rows.append([Fraction(prod.terms.get((n - 1 - c, c), 0)) for c in range(n)])
+    target = 0 if j == 0 else n - 1
+    aug = [[rows[r][c] for r in range(n)] + [Fraction(int(c == target))] for c in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return math.lcm(*(row[n].denominator for row in aug))
+
+
+@given(_binary_forms)
+@settings(max_examples=150, deadline=None)
+def test_certificate_identity_divisibility_and_minimality(rows):
+    try:
+        f = _binary_morphism(rows)
+    except ValidationError:
+        assume(False)               # a zero lift
+    res = f.resultant()
+    if res == 0:
+        with pytest.raises(ValidationError, match="not a morphism"):
+            f.certificate()
+        return
+    d = f.degree
+    f0, f1 = f.lift
+    cert = f.certificate()
+    assert len(cert) == 2
+    for j, (rj, (g0, g1)) in enumerate(cert):
+        assert type(rj) is int and rj > 0 and res % rj == 0
+        assert all(g.is_zero or g.degree == d - 1 for g in (g0, g1))
+        exps = (2 * d - 1, 0) if j == 0 else (0, 2 * d - 1)
+        assert g0 * f0 + g1 * f1 == HomogPoly(2, {exps: rj})
+        assert rj == _certificate_denominator(f, j)
+
+
+def test_certificate_pins_and_rejections():
+    # sbad: Res 4 and 27, but the certificates need only (1, 2) and (3, 3)
+    assert [mp.resultant() for mp in SBAD.maps] == [4, 27]
+    assert [tuple(rj for rj, _g in mp.certificate()) for mp in SBAD.maps] == [(1, 2), (3, 3)]
+    assert SBAD.maps[0].certificate() is SBAD.maps[0].certificate()   # cached
+    with pytest.raises(ValidationError, match="not a morphism: zero resultant"):
+        m("X0^2", "X0*X1").certificate()
+    with pytest.raises(ValidationError, match="not a morphism"):
+        m("X0^2", "0").certificate()
+    with pytest.raises(ValidationError, match="only defined on P\\^1"):
+        Morphism.from_strings(["X0^2", "X1^2", "X2^2"], dim=2).certificate()
+    with pytest.raises(ValidationError, match="specialize first"):
+        m("X0^2 + t*X1^2", "X1^2").certificate()
+
+
+@given(_binary_forms)
+@example(([1, 0, 0], [0, 0, 2]))              # sbad's first map
+@example(([1, 0, 0, 1], [0, 0, 0, 3]))        # sbad's second map
+@settings(max_examples=100, deadline=None)
+def test_certificate_bounds_image_valuation_bruteforce(rows):
+    # Every primitive x mod p^(r+1) is a unit times (1, b) or (p*a, 1), and
+    # F(x) = 0 mod p^(r+1) would mean an image of valuation above r.
+    try:
+        f = _binary_morphism(rows)
+    except ValidationError:
+        assume(False)
+    res = f.resultant()
+    assume(res != 0)
+    for p in prime_factors(res):
+        r = max(ord_p(rj, p) for rj, _g in f.certificate())
+        assert r >= 1           # p | Res: the reductions share a root mod p
+        mod = p ** (r + 1)
+        if mod > 20000:
+            continue            # too many residues to enumerate
+        reps = [(1, b) for b in range(mod)] + [(p * a, 1) for a in range(mod // p)]
+        for x in reps:
+            assert any(v % mod for v in f.eval_raw(x)), (p, r, x)
 
 
 def test_higher_dimension_green_and_oracle():
@@ -608,8 +697,8 @@ def test_padic_budget_counts_distinct_states():
     # the adaptive horizon is m* + 1, m* the first level with tail below eps
     cfg = GreenConfig(depth=60, target_eps=1e-9, mode="adaptive")
     cases = [
-        (2, -math.log(2) / 19, 22, 2208, Fraction(-125483462679796, 2384185791015625)),
-        (3, -math.log(3) / 4, 23, 2268, Fraction(-2980232238769531, 11920928955078125)),
+        (2, -math.log(2) / 19, 22, 772, Fraction(-125483462679796, 2384185791015625)),
+        (3, -math.log(3) / 4, 23, 876, Fraction(-2980232238769531, 11920928955078125)),
     ]
     for p, value, depth, nodes, exact in cases:
         prof = green_profile(SBAD, (5, 7), Place(p), cfg)

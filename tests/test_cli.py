@@ -337,6 +337,11 @@ SOLVE = ["fibral", "solve", "--actions", "[[1,0],[0,1]]"]
         ["local", "--system", "{monomial}", "--point", "1:2:3"],
         ["commute", "--system", "{monomial}", "--system2", "{x6}", "--samples", "0"],
         ["commute", "--system", "{monomial}", "--system2", "{x6}", "--samples", "-3"],
+        ["height", "--system", "{monomial}", "--point", "2:1", "--eps", "nan"],
+        ["commute", "--system", "{monomial}", "--system2", "{x6}", "--eps", "nan"],
+        ["green", "--system", "{monomial}", "--point", "5:7", "--place", "p3", "--eps", "nan"],
+        ["height", "--system", "{monomial}", "--point", "2:1", "--eps", "inf"],
+        ["sweep", "--system", "{x2pt}", "--t", "1", "--eps", "inf"],
         *(["validate", "--system", f"{{{name}}}"] for name in MALFORMED_SYSTEMS),
         *(["fibral", "verify", "--model", f"{{{name}}}"] for name in MALFORMED_MODELS),
     ],
@@ -345,6 +350,7 @@ SOLVE = ["fibral", "solve", "--actions", "[[1,0],[0,1]]"]
         "actions-not-matrix", "components-0", "maps-0", "points-0", "points-below-components",
         "depth-0", "huge-coefficient", "green-one-coordinate", "green-one-coordinate-p2",
         "green-three-coordinates", "local-three-coordinates", "samples-0", "samples-negative",
+        "height-eps-nan", "commute-eps-nan", "green-eps-nan", "height-eps-inf", "sweep-eps-inf",
         *MALFORMED_SYSTEMS, *MALFORMED_MODELS,
     ],
 )

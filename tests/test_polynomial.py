@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from dynheight.cli import load_system_file, main
 from dynheight.dynsys import Morphism, parse_homog
 from dynheight.errors import ValidationError
-from dynheight.linalg import det, solve_exact
+from dynheight.linalg import det, solve_exact, solve_scaled
 from dynheight.polynomial import TPoly, parse_tpoly
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -165,6 +165,24 @@ def test_sparse_solve_matches_gauss_jordan(a, b):
     # Zeros may be left out of a row.
     as_dicts = [{j: v for j, v in enumerate(row) if v} for row in a]
     assert solve_exact(as_dicts, b) == expected
+
+
+@given(sparse_square(st.integers(-9, 9)), st.lists(st.integers(-9, 9), min_size=20, max_size=20))
+def test_solve_scaled_two_right_hand_sides(rows, bs):
+    # One elimination, two augmented columns: d = +-det and y_t = d * x_t.
+    n = len(rows)
+    b1, b2 = bs[:n], bs[10 : 10 + n]
+    aug = [
+        {j: v for j, v in enumerate([*row, x, y]) if v} for row, x, y in zip(rows, b1, b2)
+    ]
+    solved = solve_scaled(aug, 2)
+    expected = [_gauss_jordan(rows, b1), _gauss_jordan(rows, b2)]
+    if expected[0] is None:
+        assert solved is None
+        return
+    d, ys = solved
+    assert abs(d) == abs(_det_fraction_oracle(rows))
+    assert [[Fraction(v, d) for v in y] for y in ys] == expected
 
 
 def test_sparse_pivot_row_swap_sign():
