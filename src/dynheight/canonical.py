@@ -41,9 +41,10 @@ p-adic units there.  An independent word-iteration oracle (exact
 big-integer orbits, naive heights averaged over all k^n words) provides a
 second route used for cross-checks.
 
-Tail bounds at finite places are certified by the resultant valuations; at
-the archimedean place they use the running maximum of observed one-step
-increments and are therefore monitored, not certified.  A small constant
+Tail bounds at finite places on P^1 are certified by the resultant
+valuations.  Elsewhere they use the running maximum of observed one-step
+increments (sum_i e_i/alpha * ln p at a finite place on P^N, with no
+resultant) and are therefore monitored, not certified.  A small constant
 float-accumulation allowance is added on top.
 """
 
@@ -187,7 +188,7 @@ class GreenProfile:
 
     value: float
     increments: list[float]
-    chat: float            # one-step increment bound: certified at p, monitored at inf
+    chat: float            # one-step increment bound: certified at p on P^1, else monitored
     depth: int
     nodes: int             # map evaluations charged to the node budget
     exact: Fraction | None = None   # finite places: value = exact * ln(p)

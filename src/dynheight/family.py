@@ -194,8 +194,6 @@ class VariationSweep:
     c2: float
     violations: list[SweepRow]
     skipped: list[tuple[Fraction, str]]
-    train_count: int
-    holdout_count: int
 
 
 def _upper_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -280,7 +278,7 @@ def variation_sweep(
     train, holdout = _split_rows(rows)
     c1, c2 = _fit_envelope(train)
     violations = [r for r in holdout if r.value > c1 * r.h_t + c2 + 1e-9]
-    return VariationSweep(rows, c1, c2, violations, skipped, len(train), len(holdout))
+    return VariationSweep(rows, c1, c2, violations, skipped)
 
 
 @dataclass

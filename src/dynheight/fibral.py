@@ -179,18 +179,18 @@ def solve_weights(alpha, actions, c) -> ComponentWeights:
     actions = list(actions)
     if not actions:
         raise ValidationError("need at least one action")
+    alpha = Fraction(alpha)
+    if alpha <= len(actions):
+        raise ValidationError(f"alpha must exceed k (alpha={alpha}, k={len(actions)})")
     n = actions[0].n
     if any(a.n != n for a in actions):
         raise ValidationError("actions have mismatched sizes")
-    alpha = Fraction(alpha)
     c = [Fraction(v) for v in c]
     if len(c) != n:
         raise ValidationError("correction vector has wrong length")
+    # Row t has alpha - f_t on the diagonal and k - f_t off it (f_t actions
+    # fix t), so alpha > k makes it strictly diagonally dominant: never singular.
     x = solve_exact(_action_rows(alpha, actions), c)
-    if x is None:
-        raise ValidationError(
-            f"singular component system (alpha={alpha}, k={len(actions)}): needs alpha > k"
-        )
     return ComponentWeights(tuple(x), alpha, len(actions), n)
 
 
@@ -345,7 +345,10 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def verify_intersection_formula(model: SyntheticModel, contraction_steps: int = 60) -> VerificationReport:
+CONTRACTION_STEPS = 60   # averaging iterations in verify_intersection_formula's check (c)
+
+
+def verify_intersection_formula(model: SyntheticModel) -> VerificationReport:
     """Independent replay of the intersection-number representation.
 
     (a) re-solves the component weights and checks the defining equations
@@ -380,10 +383,10 @@ def verify_intersection_formula(model: SyntheticModel, contraction_steps: int = 
     alpha_f = float(model.alpha)
     steps = [(pid, pt.images, float(pt.vf)) for pid, pt in by_id.items()]
     cur = {pid: 0.0 for pid in by_id}
-    for _step in range(contraction_steps):
+    for _step in range(CONTRACTION_STEPS):
         cur = {pid: (math.fsum(cur[q] for q in images) - vf) / alpha_f for pid, images, vf in steps}
     spread = max((abs(float(v)) for v in lam.values()), default=0.0)
-    bound = (model.k / alpha_f) ** contraction_steps * spread + 1e-9
+    bound = (model.k / alpha_f) ** CONTRACTION_STEPS * spread + 1e-9
     uniq_err = max((abs(cur[pid] - float(lam[pid])) for pid in cur), default=0.0)
     ok = w_res == 0 and b_res == 0 and uniq_err <= bound
     return VerificationReport(ok, w_res, b_res, failures, uniq_err, bound)

@@ -324,6 +324,7 @@ SOLVE = ["fibral", "solve", "--actions", "[[1,0],[0,1]]"]
         ["sweep", "--system", "{x2pt}", "--t", "1/0"],
         SOLVE + ["--alpha", "x", "--c", "1"],
         SOLVE + ["--alpha", "5", "--c", "x"],
+        SOLVE + ["--alpha", "1/2", "--c", "1,1"],
         ["fibral", "solve", "--alpha", "5", "--actions", "5", "--c", "1"],
         ["fibral", "synth", "--seed", "1", "--components", "0"],
         ["fibral", "synth", "--seed", "1", "--maps", "0"],
@@ -346,7 +347,7 @@ SOLVE = ["fibral", "solve", "--actions", "[[1,0],[0,1]]"]
         *(["fibral", "verify", "--model", f"{{{name}}}"] for name in MALFORMED_MODELS),
     ],
     ids=[
-        "place-p4", "place-foo", "lift-a", "t-range", "t-zero-denominator", "alpha", "c",
+        "place-p4", "place-foo", "lift-a", "t-range", "t-zero-denominator", "alpha", "c", "alpha-at-most-k",
         "actions-not-matrix", "components-0", "maps-0", "points-0", "points-below-components",
         "depth-0", "huge-coefficient", "green-one-coordinate", "green-one-coordinate-p2",
         "green-three-coordinates", "local-three-coordinates", "samples-0", "samples-negative",

@@ -8,6 +8,7 @@ fails the test, so the pins and the README move together.
 
 import hashlib
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -112,3 +113,13 @@ def test_readme_examples_match_golden_bytes(tmp_path):
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr), key
         for name, digest in files.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, key
+
+
+def test_readme_criterion_index_names_one_test_each():
+    # `-k criterion_N` selects by substring, so criterion_1 would also run criterion_10.
+    keywords = re.findall(r"-k (criterion_\d+)`", (ROOT / "README.md").read_text())
+    assert keywords
+    names = re.findall(r"^def (test_\w+)", (ROOT / "tests" / "test_acceptance.py").read_text(), re.M)
+    for keyword in keywords:
+        matched = [name for name in names if keyword in name]
+        assert len(matched) == 1 and matched[0].startswith(f"test_{keyword}_"), (keyword, matched)

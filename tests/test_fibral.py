@@ -100,8 +100,14 @@ def test_solve_weights_defining_equations():
 
 
 def test_solve_weights_singular_reported():
-    with pytest.raises(ValidationError, match="singular"):
+    with pytest.raises(ValidationError, match=r"alpha must exceed k \(alpha=1, k=1\)"):
         solve_weights(1, [IDENT2], [1, 1])  # forced alpha <= k
+
+
+def test_solve_weights_rejects_alpha_at_most_k():
+    # The system is nonsingular here (x = -2 solves it), but alpha <= k lies outside the theory.
+    with pytest.raises(ValidationError, match=r"alpha must exceed k \(alpha=1/2, k=1\)"):
+        solve_weights(Fraction(1, 2), [PermTypeMatrix(1, (0,))], [1])
 
 
 def test_perm_type_matrix_roundtrip():
