@@ -39,7 +39,12 @@ primitive coordinates over the archimedean place and the bad primes;
 good-reduction primes contribute exactly zero because the resultants are
 p-adic units there.  An independent word-iteration oracle (exact
 big-integer orbits, naive heights averaged over all k^n words) provides a
-second route used for cross-checks.
+second route used for cross-checks.  Its images come from Morphism.apply,
+which on P^1 divides by gcd(Res, F_0(x), F_1(x)) instead of a gcd of the
+huge coordinates (dynsys states the bound); it uses the resultant, not the
+certificates that trim the finite-place walk.  Each word count is weighted
+by the int division mult / alpha^n, which is correctly rounded and stays in
+the float range at any depth.
 
 Tail bounds at finite places on P^1 are certified by the resultant
 valuations.  Elsewhere they use the running maximum of observed one-step
@@ -376,7 +381,6 @@ def _padic_walk(
     pe0 = p**e0
     start = tuple((c // pe0) % p**prec0 for c in coords)
     start = (_unit_canonical(start, p, prec0), prec0)
-    exact = Fraction(-e0)
     lnp = math.log(p)
     esums: dict = {}
 
@@ -402,20 +406,24 @@ def _padic_walk(
             chat = max(chat, esum / alpha * lnp)
         return kids
 
+    # The exact value after level m is num / alpha^m; level m's step is
+    # s / alpha^m, and s / alpha^m as an int division is float(Fraction(s, alpha^m)).
+    num = -e0
     increments: list[float] = []
     parents = {start: 1}
     for m, nodes, level in walk(start, children, k, horizon, budget):
-        step = Fraction(sum(words * esums[s] for s, words in parents.items()), alpha**m)
+        s = sum(words * esums[state] for state, words in parents.items())
         esums.clear()
         parents = level
-        exact -= step
-        increments.append(-float(step) * lnp)
+        num = num * alpha - s
+        increments.append(-(s / alpha**m) * lnp)
         if _converged(system, cfg, increments, chat):
             break
     else:
         if horizon < cfg.depth:
             # An adaptive horizon that float rounding kept from converging.
             raise _PrecisionExhausted
+    exact = Fraction(num, alpha ** len(increments))
     return GreenProfile(float(exact) * lnp, increments, chat, len(increments), nodes, exact)
 
 
@@ -549,8 +557,10 @@ def canonical_height_oracle_detailed(
     level = {point: 1}
     for _m, _nodes, level in walk(point, children, system.k, n, resolve_budget(node_budget)):
         pass
-    value = math.fsum(float(mult) * naive(pt) for pt, mult in level.items())
-    value /= float(alpha**n)
+    # Each weight mult / alpha^n is at most 1 and correctly rounded, however
+    # far word counts and alpha^n outgrow the float range.
+    scale = alpha**n
+    value = math.fsum(mult / scale * naive(pt) for pt, mult in level.items())
     tail = geom_tail(system, c_measured / alpha, n) + FLOAT_SLACK * (1.0 + abs(value))
     return OracleResult(value, tail, n, c_measured)
 

@@ -24,6 +24,17 @@ which bound the p-adic valuation of an image (see canonical).  On higher
 P^N no resultant is computed; morphism-ness is user-asserted and failures
 surface as runtime "indeterminate point" errors.
 
+The resultant also bounds the content of an exact image.  The adjugate of
+the Sylvester matrix gives integer forms with Res * X_j^(2d-1) =
+G_j0*F_0 + G_j1*F_1 for j = 0, 1.  At a primitive x, g = gcd(F_0(x), F_1(x))
+therefore divides Res * x_0^(2d-1) and Res * x_1^(2d-1), whose gcd is Res
+since the x_j are coprime.  So Morphism.apply renormalizes by
+gcd(Res, F_0(x), F_1(x)), a reduction modulo a small integer instead of a
+gcd of two huge ones, and apply_ff does the same in Z[t] with the
+t-resultant.  On P^N, or with a zero resultant, the bound is 0 (unknown)
+and the gcd is the full one.  The argument needs primitive input, which is
+why only projective.normalize and normalize_ff build points.
+
 Lift polynomials are read by polynomial.parse_terms, which states the
 grammar; t always parses, and a parametric lift is rejected wherever a
 constant one is needed (validate_system, Morphism.apply).  HomogPoly.eval
@@ -297,7 +308,15 @@ class Morphism:
         return tuple(p.eval(coords) for p in self.lift)
 
     def apply(self, point: ProjPointQ) -> ProjPointQ:
-        """Evaluate on primitive coordinates and renormalize; exact."""
+        """Evaluate on primitive coordinates and renormalize; exact.
+
+        On P^1 the content of F(x) divides Res(F) for primitive x, because
+        Res(F) * x_j^(2d-1) = G_j0(x)*F_0(x) + G_j1(x)*F_1(x) for j = 0, 1
+        with integer forms G_ji, and x_0^(2d-1), x_1^(2d-1) are coprime.  So
+        the content is gcd(Res, F_0(x), F_1(x)): a reduction of the huge
+        coordinates modulo Res.  On P^N, or with a zero resultant, it is
+        the full gcd.
+        """
         if point.dim != self.dim:
             raise ValidationError("dimension mismatch")
         if self.has_param:
@@ -305,16 +324,23 @@ class Morphism:
         vals = self.eval_raw(point.coords)
         if all(v == 0 for v in vals):
             raise IndeterminatePointError("indeterminate point")
-        return normalize(vals)
+        return normalize(vals, self.resultant() if self.dim == 1 else 0)
 
     def apply_ff(self, point: ProjPointFF) -> ProjPointFF:
-        """Evaluate on Q(t)-coordinates and renormalize to a coprime tuple."""
+        """Evaluate on Q(t)-coordinates and renormalize to a coprime tuple.
+
+        The argument of apply, in Z[t]: for coprime x of content 1 the
+        gcd of F_0(x) and F_1(x) divides the t-resultant, so the
+        polynomial gcd starts from it and is skipped when it is a nonzero
+        constant (as for x^2 + t).  On P^N, or with a zero resultant, it is
+        the full gcd.
+        """
         if point.dim != self.dim:
             raise ValidationError("dimension mismatch")
         vals = self.eval_raw(point.coords)
         if all(v == 0 for v in vals):
             raise IndeterminatePointError("indeterminate point")
-        return normalize_ff(vals)
+        return normalize_ff(vals, self.resultant() if self.dim == 1 else 0)
 
     # -- structure ---------------------------------------------------------------
 

@@ -42,7 +42,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProjPointQ:
-    """Primitive integer representative of a point of P^N(Q)."""
+    """Primitive integer representative of a point of P^N(Q).
+
+    Build it with normalize, never directly: Morphism.apply divides an image
+    by a gcd with the resultant, which is the content only for primitive
+    input (a test checks that nothing else in the package constructs it).
+    """
 
     coords: tuple[int, ...]
 
@@ -60,7 +65,13 @@ class ProjPointQ:
 
 @dataclass(frozen=True)
 class ProjPointFF:
-    """Point of P^N over Q(t): coprime integer polynomial coordinates."""
+    """Point of P^N over Q(t): coprime integer polynomial coordinates.
+
+    Build it with normalize_ff, never directly: Morphism.apply_ff bounds the
+    common factor of an image by the resultant, which holds only for coprime
+    input with content 1 (a test checks that nothing else in the package
+    constructs it).
+    """
 
     coords: tuple[TPoly, ...]
 
@@ -76,16 +87,19 @@ class ProjPointFF:
         return ":".join(str(c) for c in self.coords)
 
 
-def normalize(raw) -> ProjPointQ:
+def normalize(raw, bound: int = 0) -> ProjPointQ:
     """Canonical primitive representative of a tuple of rationals.
 
     Clears denominators, divides by the coordinate gcd and fixes the sign of
-    the first nonzero coordinate to be positive.
+    the first nonzero coordinate to be positive.  bound is a known multiple
+    of that gcd (Morphism.apply passes the resultant), so the gcd is
+    gcd(bound, *coords), which reduces the huge coordinates modulo a small
+    bound; 0 means unknown and gives the full gcd.
     """
     ints = clear_denominators(raw)
     if not any(ints):
         raise ValidationError("not a projective point")
-    g = gcd(*ints)
+    g = gcd(bound, *ints)
     ints = [v // g for v in ints]
     first = next(v for v in ints if v != 0)
     if first < 0:
@@ -128,24 +142,29 @@ def local_height_hyperplane(point: ProjPointQ, j: int, v: Place) -> float:
     return (ord_p(coords[j], p) - min_ord) * math.log(p)
 
 
-def normalize_ff(raw) -> ProjPointFF:
+def normalize_ff(raw, bound: int | TPoly = 0) -> ProjPointFF:
     """Canonical representative over Q(t).
 
     Removes the common polynomial factor of the coordinates (coprimality in
     Q(t)), then integer content and the sign of the first nonzero leading
-    coefficient for determinism.
+    coefficient for determinism.  bound is a known multiple in Z[t] of the
+    coordinates' gcd (Morphism.apply_ff passes the resultant): the
+    polynomial gcd starts from its primitive part, so a nonzero constant
+    bound skips it, and the integer content is a gcd with its content.  0
+    means unknown and gives the full gcds.
     """
     polys = [p if isinstance(p, TPoly) else TPoly.const(p) for p in raw]
     if not polys or all(p.is_zero for p in polys):
         raise ValidationError("not a projective point")
-    g = TPoly()
+    bound = bound if isinstance(bound, TPoly) else TPoly.const(bound)
+    g = bound.primitive()
     for p in polys:
-        g = g.gcd(p) if not g.is_zero else p.primitive()
         if g.degree == 0:
             break
+        g = g.gcd(p) if not g.is_zero else p.primitive()
     if g.degree > 0:
         polys = [p // g for p in polys]
-    content = gcd(*(p.content() for p in polys))
+    content = gcd(bound.content(), *(v for p in polys for v in p.c))
     if content > 1:
         polys = [p // content for p in polys]
     first = next(p for p in polys if not p.is_zero)

@@ -146,6 +146,14 @@ def test_oracle_and_green_and_local(files):
     assert code == 0 and abs(float(out.split()[1]) - math.log(2)) < 1e-8
 
 
+def test_oracle_beyond_the_float_range():
+    # At depth 450, alpha^n = 5^450 and the word count 2^450 at the fixed
+    # point 1:1 are past the largest float; the weights are int divisions.
+    monomial = str(ROOT / "scripts" / "systems" / "monomial.json")
+    code, out, err = run_cli("oracle", "--system", monomial, "--point", "1:1", "--depth", "450")
+    assert (code, out.splitlines()[0], err) == (0, "value 0", "")
+
+
 def test_green_adaptive_bad_prime():
     # -ln 2 / 19; the walk keeps only the digits its remaining depth can read
     sbad = str(ROOT / "perfbench" / "systems" / "sbad.json")

@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dynheight.cli import load_system_file
 from dynheight.dynsys import (
     HomogPoly,
     Morphism,
@@ -14,8 +17,11 @@ from dynheight.dynsys import (
     validate_system,
 )
 from dynheight.errors import IndeterminatePointError, ValidationError
-from dynheight.polynomial import TPoly
-from dynheight.projective import normalize, parse_point
+from dynheight.exactnum import prime_factors
+from dynheight.polynomial import TPoly, parse_tpoly
+from dynheight.projective import normalize, normalize_ff, parse_point
+
+SYSTEMS = Path(__file__).resolve().parents[1] / "scripts" / "systems"
 
 
 def m(*polys, dim=1, norm=True):
@@ -256,3 +262,76 @@ def test_canonical_lift_scaling():
     assert Morphism(raw.lift).lift == X2.lift  # default constructor canonicalizes
     neg = m("-X0^2-X1^2", "-X1^2")
     assert neg.lift == m("X0^2+X1^2", "X1^2").lift
+
+
+# -- exact images: the resultant bound on the content against the full gcd -------------
+
+
+def _points_with_content(f: Morphism, a: int, b: int):
+    """Primitive points, some of whose images carry content at a prime p | Res.
+
+    Besides (a, b), (p*a, b) and (a, p*b), each common root (u : v) of the
+    reductions of F_0, F_1 mod p lifts to (u + p*a, v + p*b), a point whose
+    image is divisible by p; the roots are searched for p below 100.
+    """
+    p = min(prime_factors(f.resultant()))
+    roots = [(u, 1) for u in range(p if p < 100 else 0)] + [(1, 0)]
+    raw = [(a, b), (p * a, b), (a, p * b)] + [
+        (u + p * a, v + p * b) for u, v in roots if all(y % p == 0 for y in f.eval_raw((u, v)))
+    ]
+    return [normalize(x) for x in raw if any(x)]
+
+
+@given(binary_lifts(st.integers(-4, 4)), st.integers(-30, 30), st.integers(-30, 30))
+@settings(max_examples=150, deadline=None)
+def test_apply_matches_full_gcd(f, a, b):
+    # apply divides by gcd(Res, F(x)); the plain route by the full gcd (bound 0).
+    assume(abs(f.resultant()) > 1)
+    for pt in _points_with_content(f, a, b):
+        assert f.apply(pt) == normalize(f.eval_raw(pt.coords))
+
+
+def test_apply_removes_content_at_bad_primes():
+    # sbad: (X0^2, 2*X1^2) has Res 4 and (X0^3 + X1^3, 3*X1^3) has Res 27;
+    # their images of (2a : b) and (a : 3b - a) carry the factors 2 and 3.
+    f, g = m("X0^2", "2*X1^2"), m("X0^3+X1^3", "3*X1^3")
+    for a, b in ((1, 7), (5, 3), (-11, 9)):
+        pt = normalize((2 * a, b))
+        assert gcd(*f.eval_raw(pt.coords)) % 2 == 0
+        assert f.apply(pt) == normalize(f.eval_raw(pt.coords))
+        pt = normalize((a, 3 * b - a))
+        assert gcd(*g.eval_raw(pt.coords)) % 3 == 0
+        assert g.apply(pt) == normalize(g.eval_raw(pt.coords))
+
+
+FF_SECTIONS = [("0", "1"), ("1", "1"), ("2", "3"), ("1", "0"), ("t", "1"), ("t+1", "t"),
+               ("t", "t+1"), ("2*t", "t^2-4")]
+
+
+@pytest.mark.parametrize("name", ["x2plust", "ty2_family"])
+@pytest.mark.parametrize("section", FF_SECTIONS, ids=":".join)
+def test_apply_ff_matches_full_gcd(name, section):
+    # x^2 + t has Res 1, so apply_ff skips the polynomial gcd; (X0^2, t*X1^2)
+    # has Res t^2, and sections through t = 0 or t = oo carry a factor t.
+    f = load_system_file(SYSTEMS / f"{name}.json").family.maps[0]
+    pt = normalize_ff([parse_tpoly(s) for s in section])
+    for _ in range(5):
+        image = f.apply_ff(pt)
+        assert image == normalize_ff(f.eval_raw(pt.coords))
+        pt = image
+
+
+@given(
+    binary_lifts(st.lists(st.integers(-3, 3), max_size=3).map(TPoly)),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.lists(st.integers(-3, 3), max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_apply_ff_matches_full_gcd_on_random_lifts(f, x0, x1):
+    assume(f.resultant() != 0)
+    assume(any(x0) or any(x1))
+    pt = normalize_ff([TPoly(x0), TPoly(x1)])
+    for _ in range(2):
+        image = f.apply_ff(pt)
+        assert image == normalize_ff(f.eval_raw(pt.coords))
+        pt = image

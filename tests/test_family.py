@@ -106,6 +106,13 @@ def test_ff_canonical_height_examples():
     assert ff_canonical_height(CONST_MONOMIAL, Section.from_strings(["2", "1"]), 4).value == 0
 
 
+def test_ff_canonical_height_ty2_moving_section():
+    # (X0^2, t*X1^2) has resultant t^2.  The image of (t + 1 : t) at depth n
+    # is coprime of degree 2^(n+1) - 1, so the average is (2^10 - 1) / 2^9.
+    r = ff_canonical_height(TY2, Section.from_strings(["t+1", "t"]), 9)
+    assert (r.value, r.last_increment) == (Fraction(1023, 512), Fraction(1, 512))
+
+
 def test_huge_fiber_coefficient_rejected():
     fiber = specialize(X2PT, Fraction(10**400))
     with pytest.raises(ValidationError, match="too large for a float"):

@@ -1,7 +1,9 @@
 """Projective points, naive heights, hyperplane local heights."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -93,3 +95,31 @@ def test_ff_normalization_removes_common_factor():
     assert [str(c) for c in p.coords] == ["t + 1", "1"]
     q = normalize_ff([parse_tpoly("-2*t"), parse_tpoly("-4")])
     assert [str(c) for c in q.coords] == ["t", "2"]
+
+
+
+def _point_constructions(path: Path):
+    """(class, file, innermost enclosing function) for each call of a point class."""
+    tree = ast.parse(path.read_text())
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        if name in ("ProjPointQ", "ProjPointFF"):
+            scope = parent.get(node)
+            while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = parent.get(scope)
+            yield name, path.name, scope.name if scope is not None else None
+
+
+def test_points_are_built_only_by_normalize():
+    # Morphism.apply and apply_ff bound an image's content by the resultant,
+    # which holds only for primitive input, so only normalize and
+    # normalize_ff may construct the point classes.
+    src = Path(__file__).resolve().parents[1] / "src" / "dynheight"
+    found = {c for path in sorted(src.glob("*.py")) for c in _point_constructions(path)}
+    assert found == {
+        ("ProjPointQ", "projective.py", "normalize"),
+        ("ProjPointFF", "projective.py", "normalize_ff"),
+    }
