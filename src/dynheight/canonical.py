@@ -58,6 +58,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -647,9 +648,9 @@ def forward_orbit(
 ) -> tuple[set[tuple[int, ...]], bool]:
     """Breadth-first forward orbit under all maps; closed=False on budget."""
     seen = {point.coords}
-    frontier = [point]
+    frontier = deque([point])
     while frontier:
-        pt = frontier.pop()
+        pt = frontier.popleft()
         for mp in system.maps:
             child = mp.apply(pt)
             if child.coords not in seen:

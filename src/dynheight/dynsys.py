@@ -13,27 +13,30 @@ that inequality is what makes the averaged height relation contract.
 
 On P^1, being a morphism is equivalent to the resultant of the two
 coordinate forms being nonzero, and the primes dividing the resultants are
-the only finite places that can carry a nonzero Green function.  The
-resultant is the determinant of the 2d x 2d Sylvester matrix, built as
-sparse rows straight from the lift: for form p and i in 0..d-1, the
-coefficient of X0^e0 X1^(d-e0) sits in column i + d - e0.  Its ring is the
-lift's: Z for a constant lift, Z[t] for a parametric one.  The same rows,
-read as columns, give the Nullstellensatz certificate of Morphism.certificate:
-integers R_j and forms G_ji with R_j * X_j^(2d-1) = G_j0*F_0 + G_j1*F_1,
-which bound the p-adic valuation of an image (see canonical).  On higher
-P^N no resultant is computed; morphism-ness is user-asserted and failures
-surface as runtime "indeterminate point" errors.
+the only finite places that can carry a nonzero Green function.  One
+fraction-free solve per map gives both the resultant and the
+Nullstellensatz certificate.  Its rows are those of S^T, S the 2d x 2d
+Sylvester matrix of the lift, built straight from the lift in the lift's
+ring (Z for a constant lift, Z[t] for a parametric one), and its two
+right-hand sides are the columns of X_0^(2d-1) and X_1^(2d-1).
+linalg.solve_scaled returns D = det S = Res, which Morphism.resultant
+reads, and y = D * g for the unique solution g of S^T g = e_c, c the
+column of X_j^(2d-1): the entries of y are the coefficients of forms
+G_j0, G_j1 over that ring with Res * X_j^(2d-1) = G_j0*F_0 + G_j1*F_1.  Morphism.certificate reads the
+least such multiple R_j of X_j^(2d-1) and its forms from y, only on
+demand; they bound the p-adic valuation of an image (see canonical).  On
+higher P^N no resultant is computed; morphism-ness is user-asserted and
+failures surface as runtime "indeterminate point" errors.
 
-The resultant also bounds the content of an exact image.  The adjugate of
-the Sylvester matrix gives integer forms with Res * X_j^(2d-1) =
-G_j0*F_0 + G_j1*F_1 for j = 0, 1.  At a primitive x, g = gcd(F_0(x), F_1(x))
-therefore divides Res * x_0^(2d-1) and Res * x_1^(2d-1), whose gcd is Res
-since the x_j are coprime.  So Morphism.apply renormalizes by
-gcd(Res, F_0(x), F_1(x)), a reduction modulo a small integer instead of a
-gcd of two huge ones, and apply_ff does the same in Z[t] with the
-t-resultant.  On P^N, or with a zero resultant, the bound is 0 (unknown)
-and the gcd is the full one.  The argument needs primitive input, which is
-why only projective.normalize and normalize_ff build points.
+The resultant also bounds the content of an exact image.  At a primitive
+x, g = gcd(F_0(x), F_1(x)) divides Res * x_0^(2d-1) and Res * x_1^(2d-1)
+by that identity, and their gcd is Res since the x_j are coprime.  So
+Morphism.apply renormalizes by gcd(Res, F_0(x), F_1(x)), a reduction
+modulo a small integer instead of a gcd of two huge ones, and apply_ff
+does the same in Z[t] with the t-resultant.  On P^N, or with a zero
+resultant, the bound is 0 (unknown) and the gcd is the full one.  The
+argument needs primitive input, which is why only projective.normalize
+and normalize_ff build points.
 
 Lift polynomials are read by polynomial.parse_terms, which states the
 grammar; t always parses, and a parametric lift is rejected wherever a
@@ -53,7 +56,7 @@ from math import gcd, lcm, prod
 
 from .errors import IndeterminatePointError, ValidationError
 from .exactnum import prime_factors
-from .linalg import det, solve_scaled
+from .linalg import solve_scaled
 from .polynomial import TPoly, parse_terms
 from .projective import ProjPointFF, ProjPointQ, normalize, normalize_ff
 
@@ -146,12 +149,6 @@ class HomogPoly:
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
         return HomogPoly(self.nvars, out)
-
-    def __neg__(self) -> "HomogPoly":
-        return HomogPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "HomogPoly") -> "HomogPoly":
-        return self + (-other)
 
     def scale(self, s) -> "HomogPoly":
         if s == 0:
@@ -248,7 +245,7 @@ def parse_homog(text: str, nvars: int) -> HomogPoly:
 class Morphism:
     """Self-map of P^N given by a homogeneous lift of common degree."""
 
-    __slots__ = ("lift", "nvars", "degree", "has_param", "_resultant", "_certificate")
+    __slots__ = ("lift", "nvars", "degree", "has_param", "_solved", "_certificate")
 
     def __init__(self, lift, normalize: bool = True):
         lift = tuple(lift)
@@ -271,7 +268,7 @@ class Morphism:
         self.nvars = nvars
         self.degree = degree
         self.has_param = any(p.has_param for p in lift)
-        self._resultant = None
+        self._solved = None
         self._certificate = None
 
     # -- queries ---------------------------------------------------------------
@@ -350,32 +347,37 @@ class Morphism:
             raise ValidationError("dimension mismatch")
         return Morphism([p.eval(inner.lift) if not p.is_zero else p for p in self.lift])
 
-    def _sylvester_rows(self, what: str) -> list[dict]:
-        """The 2d Sylvester rows of a map of P^1, entries in the lift's ring.
+    def _solve(self, what: str) -> tuple:
+        """The one cached solve of S^T g = e_0, e_(2d-1) of a map of P^1.
 
-        Row d*p + i is X0^(d-1-i) * X1^i * F_p, and column c holds its
-        coefficient of X0^(2d-1-c) * X1^c.
+        Row c of S^T holds, for each Sylvester row r = d*p + i, the
+        coefficient of X0^(2d-1-c) * X1^c in X0^(d-1-i) * X1^i * F_p;
+        entries are in the lift's ring.  Returns solve_scaled's (D, ys), or
+        (zero of the ring, None) when the resultant vanishes.
         """
-        if self.dim != 1:
-            raise ValidationError(f"{what} is only defined on P^1")
-        d = self.degree
-        one = TPoly.const(1) if self.has_param else 1
-        return [
-            {i + d - e0: one * c for (e0, _e1), c in p.terms.items()}
-            for p in self.lift
-            for i in range(d)
-        ]
+        if self._solved is None:
+            if self.dim != 1:
+                raise ValidationError(f"{what} is only defined on P^1")
+            d, n = self.degree, 2 * self.degree
+            one = TPoly.const(1) if self.has_param else 1
+            rows: list[dict] = [{} for _ in range(n)]
+            for p, form in enumerate(self.lift):
+                for (e0, _e1), c in form.terms.items():
+                    for i in range(d):
+                        rows[i + d - e0][d * p + i] = one * c
+            rows[0][n] = one
+            rows[n - 1][n + 1] = one
+            self._solved = solve_scaled(rows, 2) or (one * 0, None)
+        return self._solved
 
     def resultant(self) -> int | TPoly:
-        """Sylvester resultant of the two coordinate forms (P^1).
+        """Sylvester resultant of the two coordinate forms (P^1), sign included.
 
-        Over the lift's coefficient ring: an int for a constant lift, a
-        TPoly for a parametric one (zero included).
+        The signed determinant D of the cached solve, over the lift's
+        coefficient ring: an int for a constant lift, a TPoly for a
+        parametric one (zero included).
         """
-        if self._resultant is None:
-            one = TPoly.const(1) if self.has_param else 1
-            self._resultant = one * det(self._sylvester_rows("resultant"))
-        return self._resultant
+        return self._solve("resultant")[0]
 
     def certificate(self) -> tuple:
         """Nullstellensatz certificate of a morphism of P^1.
@@ -384,33 +386,24 @@ class Morphism:
         R_j is the least positive integer with
         R_j * X_j^(2d-1) = G_j0 * F_0 + G_j1 * F_1 for integer forms G_ji
         of degree d - 1.  The coefficients of (G_j0, G_j1) are the g with
-        S^T g = R_j * e_c, S the Sylvester rows and c the column of
+        S^T g = R_j * e_c, S the Sylvester matrix and c the column of
         X_j^(2d-1).  S is invertible, so g / R_j = y / D is the unique
-        rational solution for e_c, where solve_scaled gives D = +-Res and
-        the integers y (Cramer's rule).  R_j, the lcm of its denominators,
-        is |D| / gcd(D, y), a divisor of the resultant.  Both j are solved
-        in one elimination, without Fractions.
+        rational solution for e_c, with D = Res and the integers y
+        (Cramer's rule) of the cached solve that gave the resultant.  R_j,
+        the lcm of its denominators, is |D| / gcd(D, y), a divisor of the
+        resultant.
         """
         if self._certificate is None:
             if self.has_param:
                 raise ValidationError("parametric lift has no integer certificate (specialize first)")
-            d, n = self.degree, 2 * self.degree
-            # Row c of S^T is column c of S; columns n and n + 1 hold e_0
-            # and e_(n-1), the columns of X_0^(2d-1) and X_1^(2d-1).
-            rows: list[dict] = [{} for _ in range(n)]
-            for r, row in enumerate(self._sylvester_rows("certificate")):
-                for c, v in row.items():
-                    rows[c][r] = v
-            rows[0][n] = 1
-            rows[n - 1][n + 1] = 1
-            solved = solve_scaled(rows, 2)
-            if solved is None:
+            res, ys = self._solve("certificate")
+            if ys is None:
                 raise ValidationError(f"not a morphism: zero resultant for {self}")
-            signed_res, ys = solved
+            d = self.degree
             cert = []
             for y in ys:
-                rj = abs(signed_res) // gcd(signed_res, *y)
-                scale = signed_res // rj
+                rj = abs(res) // gcd(res, *y)
+                scale = res // rj
                 forms = tuple(
                     HomogPoly(2, {(d - 1 - i, i): y[d * p + i] // scale for i in range(d)})
                     for p in range(2)

@@ -1,25 +1,28 @@
-"""Exact determinants and linear solves used by the resultant and fibral code.
+"""Exact linear solves used by the resultant, the certificates and the fibral code.
 
-One Bareiss fraction-free elimination serves det and solve_exact; it keeps
-every intermediate value in the ground ring, read from the entries (ints
-for Z, TPolys throughout for Z[t]), and its divisions are exact by
-construction.
+One Bareiss fraction-free elimination serves solve_scaled and solve_exact;
+it keeps every intermediate value in the ground ring, read from the
+entries (ints for Z, TPolys throughout for Z[t]), and its divisions are
+exact by construction.
 
-Both take one row format: a {column: value} dict, zeros optional, with
-columns 0..n-1 for n rows (any other column is a ValueError).  For
-each column c in turn the pivot is the pending row with a nonzero entry in c
-and the fewest entries (ties go to the lowest position); the parity of its
-position among the pending rows gives the determinant's sign.  Bareiss then
-updates each pending row with an entry in c, over the union of its columns
-and the pivot row's, and drops the zeros; a row without one only changes
-by a factor, applied when the row is next touched.  So an orbit matrix
-with k+1 entries per row is never filled in densely.
+Both take one row format: a {column: value} dict, with columns 0..n-1
+for n rows holding the matrix; solve_exact checks the columns and drops
+zeros, solve_scaled takes rows without zero entries.  For each column c
+in turn the pivot is the pending row with a nonzero entry in c and the
+fewest entries (ties go to the lowest position); the parity of its
+position among the pending rows gives the determinant's sign.  Bareiss
+then updates each pending row with an entry in c, over the union of its
+columns and the pivot row's, and drops the zeros; a row without one only
+changes by a factor, applied when the row is next touched.  So an orbit
+matrix with k+1 entries per row is never filled in densely.
 
-solve_scaled eliminates integer rows augmented by one column per
-right-hand side and back-substitutes each column without fractions: with
-d the last pivot, y_c = (d*b_c - sum_j a_cj*y_j) / a_cc is an integer by
-Cramer's rule.  solve_exact clears denominators row by row, solves with
-one right-hand side, and builds one Fraction x_c = y_c / d per unknown.
+solve_scaled eliminates rows augmented by one column per right-hand side
+and back-substitutes each column without fractions: with D the signed
+determinant (the sign times the last pivot), y_c = (D*b_c - sum_j
+a_cj*y_j) / a_cc is in the ground ring by Cramer's rule.  With no
+right-hand side it is the determinant alone.  solve_exact clears
+denominators row by row, solves with one right-hand side, and builds one
+Fraction x_c = y_c / D per unknown.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 
 from .exactnum import clear_denominators
 
-__all__ = ["det", "solve_exact", "solve_scaled"]
+__all__ = ["solve_exact", "solve_scaled"]
 
 
 def _eliminate(rows: list[dict], n: int) -> tuple[int, list[tuple]]:
@@ -87,44 +90,32 @@ def _checked(rows: list[dict], n: int) -> list[dict]:
     return out
 
 
-def det(rows: list[dict]):
-    """Exact determinant of the square matrix with these dict rows.
-
-    The value is in the entries' ring, except that a singular matrix gives
-    the int 0 and the empty matrix the int 1.
-    """
-    n = len(rows)
-    if not n:
-        return 1
-    sign, pivots = _eliminate(_checked(rows, n), n)
-    return sign * pivots[-1][0] if sign else 0
-
-
-def solve_scaled(rows: list[dict], w: int) -> tuple[int, list[list[int]]] | None:
-    """Fraction-free solve of n integer dict rows with w right-hand sides.
+def solve_scaled(rows: list[dict], w: int) -> tuple | None:
+    """Fraction-free solve of n dict rows with w right-hand sides, over Z or Z[t].
 
     Columns 0..n-1 hold the matrix A and columns n..n+w-1 the right-hand
-    sides b_t; the row dicts are consumed.  Returns (d, ys), d the last
-    Bareiss pivot (+-det A) and ys[t] = d * x_t for A x_t = b_t, integral by
-    Cramer's rule; None when A is singular.
+    sides b_t, with nonzero entries in one ring (ints, or TPolys
+    throughout); the row dicts are consumed.  Returns (D, ys), D = det A
+    (the empty matrix has D = 1) and ys[t] = D * x_t for A x_t = b_t, in
+    the ring by Cramer's rule; None when A is singular.
     """
     n = len(rows)
     sign, pivots = _eliminate(rows, n)
     if not sign:
         return None
-    d = pivots[-1][0]
+    det = sign * pivots[-1][0] if pivots else 1
     ys = []
     for t in range(n, n + w):
         y = [0] * n
         for c in range(n - 1, -1, -1):
             piv, rest = pivots[c]
-            acc = d * rest.get(t, 0)
+            acc = det * rest.get(t, 0)
             for j, v in rest.items():
                 if j < n:
                     acc -= v * y[j]
             y[c] = acc // piv
         ys.append(y)
-    return d, ys
+    return det, ys
 
 
 def solve_exact(a_rows: list[dict], b: list[Fraction]) -> list[Fraction] | None:
@@ -137,10 +128,8 @@ def solve_exact(a_rows: list[dict], b: list[Fraction]) -> list[Fraction] | None:
         # Clear denominators over the row's nonzeros and its right-hand side.
         cols = [*row, n]
         aug.append({j: v for j, v in zip(cols, clear_denominators([*row.values(), rhs])) if v})
-    if n == 0:
-        return []
     solved = solve_scaled(aug, 1)
     if solved is None:
         return None
-    d, (y,) = solved
-    return [Fraction(v, d) for v in y]
+    det, (y,) = solved
+    return [Fraction(v, det) for v in y]

@@ -1,13 +1,17 @@
-"""The traced benchmark wraps dynheight's layer entry points by name.
+"""Names that other code reaches dynheight by resolve.
 
+The traced benchmark wraps dynheight's layer entry points by name:
 perfbench/tracing.py lists them as (module, attribute) pairs and reads some
 of their argument names and return fields; a rename in dynheight would
-otherwise only show up as a failing traced run.
+otherwise only show up as a failing traced run.  Every module's __all__
+and the package's re-exports name what exists.
 """
 
 import importlib
 import importlib.util
 import inspect
+import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +75,23 @@ def test_one_map_walks_enter_the_traced_arch_layer(monkeypatch):
     green_profile(system, (3, 1), INFINITY, GreenConfig(depth=5))
     canonical_height(system, parse_point("3:1"), GreenConfig(depth=5))
     assert calls == {"_green_arch": 2, "_green_chain": 2}
+
+
+def _dynheight_modules():
+    import dynheight
+
+    names = [m.name for m in pkgutil.iter_modules(dynheight.__path__)]
+    return [dynheight, *(importlib.import_module(f"dynheight.{n}") for n in names)]
+
+
+@pytest.mark.parametrize("module", _dynheight_modules(), ids=lambda m: m.__name__)
+def test_exports_resolve(module):
+    # A deleted function must not stay behind in an __all__, and what the
+    # package re-exports must be exported by the module that defines it.
+    for name in getattr(module, "__all__", ()):
+        assert getattr(module, name, None) is not None, f"{module.__name__}.{name}"
+    if module.__name__ == "dynheight":
+        for name, value in vars(module).items():
+            home = getattr(value, "__module__", None)
+            if not name.startswith("_") and home and home.startswith("dynheight."):
+                assert name in getattr(sys.modules[home], "__all__", [name]), f"{home}.{name}"

@@ -778,6 +778,21 @@ def test_forward_orbit_budget_flag():
     assert not closed and len(orbit) == 5
 
 
+def test_forward_orbit_is_breadth_first():
+    # 1 + 2 + 4 + 8 + 16 = 31 points are the images of words of length <= 4,
+    # so with max_points 32 the budget ends the walk inside level 5.  A
+    # depth-first walk would chase ever longer words instead.
+    sbad = load_system_file(SYSTEMS.parents[1] / "perfbench" / "systems" / "sbad.json").system
+    start = parse_point("5:7")
+    orbit, closed = forward_orbit(sbad, start, max_points=32)
+    assert not closed and len(orbit) == 32
+    level, words = [start], {start.coords}
+    for _ in range(5):
+        level = [mp.apply(pt) for pt in level for mp in sbad.maps]
+        words |= {pt.coords for pt in level}
+    assert orbit <= words
+
+
 def test_padic_walk_rejects_indeterminate_point():
     from dynheight.dynsys import PolarizedSystem
     from dynheight.errors import IndeterminatePointError

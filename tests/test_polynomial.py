@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from dynheight import dynsys
 from dynheight.cli import load_system_file, main
 from dynheight.dynsys import Morphism, parse_homog
 from dynheight.errors import ValidationError
-from dynheight.linalg import det, solve_exact, solve_scaled
+from dynheight.linalg import solve_exact, solve_scaled
 from dynheight.polynomial import TPoly, parse_tpoly
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,6 +34,18 @@ def _dict_rows(rows, ring=int):
     # Dense rows as the {column: value} rows linalg takes; zeros are kept,
     # and linalg drops them.
     return [{j: ring(v) for j, v in enumerate(row)} for row in rows]
+
+
+def _scaled_det(rows, ring=int):
+    # solve_scaled with no right-hand side on dense rows, zeros dropped
+    # (solve_scaled takes rows without zero entries).
+    return solve_scaled([{j: ring(v) for j, v in enumerate(row) if v} for row in rows], 0)
+
+
+def _oracle_solved(rows, ring=int):
+    # What solve_scaled(rows, 0) returns: (signed det, []), None when singular.
+    det = _det_fraction_oracle(rows)
+    return (ring(int(det)), []) if det else None
 
 
 def _det_fraction_oracle(rows):
@@ -145,13 +158,13 @@ def test_gcd_divides(a, b):
 
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=3, max_size=3))
 def test_bareiss_matches_fraction_oracle(rows):
-    assert det(_dict_rows(rows)) == _det_fraction_oracle(rows)
+    assert _scaled_det(rows) == _oracle_solved(rows)
 
 
 @given(sparse_square(st.integers(-9, 9)))
 def test_sparse_bareiss_det_matches_fraction_oracle(rows):
-    assert det(_dict_rows(rows)) == _det_fraction_oracle(rows)
-    assert det(_dict_rows(rows, TPoly.const)) == TPoly.const(_det_fraction_oracle(rows))
+    assert _scaled_det(rows) == _oracle_solved(rows)
+    assert _scaled_det(rows, TPoly.const) == _oracle_solved(rows, TPoly.const)
 
 
 @given(
@@ -169,7 +182,7 @@ def test_sparse_solve_matches_gauss_jordan(a, b):
 
 @given(sparse_square(st.integers(-9, 9)), st.lists(st.integers(-9, 9), min_size=20, max_size=20))
 def test_solve_scaled_two_right_hand_sides(rows, bs):
-    # One elimination, two augmented columns: d = +-det and y_t = d * x_t.
+    # One elimination, two augmented columns: d = det and y_t = d * x_t.
     n = len(rows)
     b1, b2 = bs[:n], bs[10 : 10 + n]
     aug = [
@@ -181,7 +194,7 @@ def test_solve_scaled_two_right_hand_sides(rows, bs):
         assert solved is None
         return
     d, ys = solved
-    assert abs(d) == abs(_det_fraction_oracle(rows))
+    assert d == _det_fraction_oracle(rows)
     assert [[Fraction(v, d) for v in y] for y in ys] == expected
 
 
@@ -189,10 +202,10 @@ def test_sparse_pivot_row_swap_sign():
     # Column 0's pivot is the second pending row, the one with fewest
     # entries, so the sign flips once.
     rows = [[1, 2, 3], [4, 0, 0], [0, 5, 6]]
-    assert det(_dict_rows(rows)) == 12 == _det_fraction_oracle(rows)
-    assert det(_dict_rows(rows, TPoly.const)) == TPoly.const(12)
+    assert _scaled_det(rows) == (12, []) == _oracle_solved(rows)
+    assert _scaled_det(rows, TPoly.const) == (TPoly.const(12), [])
     assert solve_exact(_dict_rows(rows), [1, 2, 3]) == [Fraction(1, 2), Fraction(2), Fraction(-7, 6)]
-    assert det([{1: 1}, {0: 1}]) == -1
+    assert solve_scaled([{1: 1}, {0: 1}], 0) == (-1, [])
 
 
 @pytest.mark.parametrize(
@@ -219,21 +232,43 @@ def test_det_tpoly_sylvester_values(source, expected):
 
 def test_det_tpoly():
     t, one = TPoly.t(), TPoly.const(1)
-    assert det([{0: t, 1: one}, {0: one, 1: t}]) == parse_tpoly("t^2 - 1")
+    assert solve_scaled([{0: t, 1: one}, {0: one, 1: t}], 0) == (parse_tpoly("t^2 - 1"), [])
     # A zero first pivot forces a row swap, which flips the sign.
-    assert det([{1: t, 2: one}, {0: one, 2: t}, {0: t, 1: one}]) == parse_tpoly("t^3 + 1")
-    assert det([{0: t, 1: one}, {0: t * t, 1: t}]) == 0
-    assert det([{0: TPoly(), 1: one}, {1: t}]) == 0
+    rows = [{1: t, 2: one}, {0: one, 2: t}, {0: t, 1: one}]
+    assert solve_scaled(rows, 0) == (parse_tpoly("t^3 + 1"), [])
+    assert solve_scaled([{0: t, 1: one}, {0: t * t, 1: t}], 0) is None
+    assert solve_scaled([{1: one}, {1: t}], 0) is None
     # The resultant keeps a zero over Z[t] in Z[t].
     singular = Morphism.from_strings(["t*X0^2", "t*X0*X1"], 1).resultant()
     assert isinstance(singular, TPoly) and singular.is_zero
 
 
-def test_det_rejects_columns_out_of_range():
+def test_solve_exact_rejects_columns_out_of_range():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        det([{0: 1, 2: 1}, {1: 1}])
+        solve_exact([{0: 1, 2: 1}, {1: 1}], [1, 1])
     with pytest.raises(ValueError, match="dimension mismatch"):
         solve_exact([{-1: 1}], [1])
+
+
+def test_one_solve_per_map(monkeypatch):
+    # The resultant and the certificate of a map of P^1 come from one
+    # cached solve_scaled; a parametric map's resultant from one as well.
+    calls = []
+
+    def counting(rows, w):
+        calls.append(w)
+        return solve_scaled(rows, w)
+
+    monkeypatch.setattr(dynsys, "solve_scaled", counting)
+    f = Morphism.from_strings(["X0^3+X1^3", "3*X1^3"], 1)
+    assert f.resultant() == 27
+    assert [rj for rj, _g in f.certificate()] == [3, 3]
+    assert f.resultant() == 27
+    assert len(calls) == 1
+    g = Morphism.from_strings(["X0^2+t*X1^2", "X1^2"], 1)
+    assert g.resultant() == TPoly.const(1)
+    assert g.resultant() == TPoly.const(1)
+    assert len(calls) == 2
 
 
 def test_tpoly_floordiv_is_exact():
