@@ -25,32 +25,34 @@ reference in the tests) bit for bit when the lift's exponents are at most
 Floats never merge, so the merging walk() serves only the exact walks:
 the finite places, the oracle and the function-field height.
 
-On P^1 a finite-place step reads at most r = max_{i,j} ord_p(R_ij)
+On every P^N a finite-place step reads at most r = max_{i,j} ord_p(R_ij)
 digits, R_ij the integers of the Nullstellensatz certificates
-R_ij * X_j^(2d-1) = G_ij0 * F_i0 + G_ij1 * F_i1 (Morphism.certificate),
-so a state at level m of a depth-D walk keeps its residues mod
-p^((D-m)*r + 1) and states that agree on those digits merge.  R_ij divides
-Res F_i, so this r is at most max_i ord_p(Res F_i), often below it; the
-certified tail still comes from the resultants.  An adaptive walk takes D
-one level past the first whose certified tail is below eps.
+R_ij * X_j^delta = sum_l G_ijl * F_il (Morphism.certificate), so a state
+at level m of a depth-D walk keeps its residues mod p^((D-m)*r + 1) and
+states that agree on those digits merge.  R_ij divides D_i, the signed
+minor of map i's Macaulay solve (Morphism.resultant, the resultant on
+P^1), so this r is at most max_i ord_p(D_i), often below it; the
+certified tail comes from the D_i.  A prime dividing no D_i has good
+reduction, and a zero D_i is a map that is not a morphism.  An adaptive
+walk takes D one level past the first whose certified tail is below eps.
 
-The canonical height of a rational point is the sum of its Green values on
-primitive coordinates over the archimedean place and the bad primes;
-good-reduction primes contribute exactly zero because the resultants are
-p-adic units there.  An independent word-iteration oracle (exact
-big-integer orbits, naive heights averaged over all k^n words) provides a
-second route used for cross-checks.  Its images come from Morphism.apply,
-which on P^1 divides by gcd(Res, F_0(x), F_1(x)) instead of a gcd of the
-huge coordinates (dynsys states the bound); it uses the resultant, not the
-certificates that trim the finite-place walk.  Each word count is weighted
-by the int division mult / alpha^n, which is correctly rounded and stays in
-the float range at any depth.
+The canonical height of a rational point on P^1 is the sum of its Green
+values on primitive coordinates over the archimedean place and the bad
+primes; good-reduction primes contribute exactly zero because the
+resultants are p-adic units there.  On P^N the D_i are too large to
+factor, so canonical_height stays on P^1.  An independent word-iteration
+oracle (exact big-integer orbits, naive heights averaged over all k^n
+words) provides a second route used for cross-checks.  Its images come
+from Morphism.apply, which divides by gcd(D_i, F_i(x)) instead of a gcd
+of the huge coordinates (dynsys states the bound); it uses D_i, not the
+certificates that trim the finite-place walk.  Each word count is
+weighted by the int division mult / alpha^n, which is correctly rounded
+and stays in the float range at any depth.
 
-Tail bounds at finite places on P^1 are certified by the resultant
-valuations.  Elsewhere they use the running maximum of observed one-step
-increments (sum_i e_i/alpha * ln p at a finite place on P^N, with no
-resultant) and are therefore monitored, not certified.  A small constant
-float-accumulation allowance is added on top.
+Tail bounds at finite places are certified by the valuations of the D_i.
+At the archimedean place they use the running maximum of observed
+one-step increments and are therefore monitored, not certified.  A small
+constant float-accumulation allowance is added on top.
 """
 
 from __future__ import annotations
@@ -194,7 +196,7 @@ class GreenProfile:
 
     value: float
     increments: list[float]
-    chat: float            # one-step increment bound: certified at p on P^1, else monitored
+    chat: float            # one-step increment bound: certified at p, monitored at infinity
     depth: int
     nodes: int             # map evaluations charged to the node budget
     exact: Fraction | None = None   # finite places: value = exact * ln(p)
@@ -332,10 +334,6 @@ def _green_tree(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProfi
 # -- finite-place walk ----------------------------------------------------------------
 
 
-class _PrecisionExhausted(Exception):
-    pass
-
-
 def _unit_canonical(coords: tuple[int, ...], p: int, prec: int) -> tuple[int, ...]:
     # Scale by the inverse of the first unit coordinate: Green contributions
     # only depend on the point up to p-adic units, so states collapse.
@@ -353,31 +351,24 @@ def _padic_walk(
     p: int,
     cfg: GreenConfig,
     horizon: int,
-    bound: tuple[int, float] | None,
-    prec0: int | None = None,
+    trim: int,
+    chat: float,
 ) -> GreenProfile:
-    # States are (unit-canonical residues, precision).  bound = (r, chat)
-    # comes from the certificates and the resultants on P^1: the walk starts
-    # with horizon*r + 1 digits and cuts every child to prec - r, so states
-    # that agree on every digit the remaining levels can read merge.  On P^N
-    # (bound None) it starts with prec0 digits, dividing an image by p^e
-    # leaves prec - e, and chat monitors the largest one-step increment.
+    # States are (unit-canonical residues, precision).  An image has
+    # valuation at most trim (see _green_padic): the walk starts with
+    # horizon*trim + 1 digits and cuts every child to prec - trim, so states
+    # that agree on every digit the remaining levels can read merge.
     # children records each parent's valuation sum sum_i e_i; level m's
     # valuations are words * esum summed over level m - 1.
     k, alpha = system.k, system.alpha
     budget = resolve_budget(cfg.node_budget)
     if cfg.mode == "fixed" and k * horizon > budget:
         # Every level holds a state, so a fixed walk charges at least k
-        # evaluations per level: fail before building horizon*r + 1 digits.
+        # evaluations per level: fail before building horizon*trim + 1 digits.
         raise BudgetExceededError(
             f"budget exceeded: depth {horizon} needs at least {k * horizon} nodes > {budget}"
         )
-    monitored = bound is None
-    if monitored:
-        trim, chat = 0, 0.0
-    else:
-        trim, chat = bound
-        prec0 = horizon * trim + 1
+    prec0 = horizon * trim + 1
     e0 = min(ord_p(c, p) for c in coords if c != 0)
     pe0 = p**e0
     start = tuple((c // pe0) % p**prec0 for c in coords)
@@ -386,25 +377,19 @@ def _padic_walk(
     esums: dict = {}
 
     def children(state):
-        nonlocal chat
         cs, prec = state
         pm = p**prec
+        nprec = prec - trim
+        pnm = p**nprec
         kids = []
         esum = 0
         for mp in system.maps:
             vals = [v % pm for v in mp.eval_raw(cs)]
-            nonzero = [v for v in vals if v]
-            if not nonzero:
-                raise _PrecisionExhausted
-            e = min(ord_p(v, p) for v in nonzero)
+            e = min(ord_p(v, p) for v in vals if v)
             esum += e
-            nprec = prec - (trim or e)
             pe = p**e
-            pnm = p**nprec
             kids.append((_unit_canonical(tuple((v // pe) % pnm for v in vals), p, nprec), nprec))
         esums[state] = esum
-        if monitored:
-            chat = max(chat, esum / alpha * lnp)
         return kids
 
     # The exact value after level m is num / alpha^m; level m's step is
@@ -420,10 +405,6 @@ def _padic_walk(
         increments.append(-(s / alpha**m) * lnp)
         if _converged(system, cfg, increments, chat):
             break
-    else:
-        if horizon < cfg.depth:
-            # An adaptive horizon that float rounding kept from converging.
-            raise _PrecisionExhausted
     exact = Fraction(num, alpha ** len(increments))
     return GreenProfile(float(exact) * lnp, increments, chat, len(increments), nodes, exact)
 
@@ -432,51 +413,36 @@ def _green_padic(system: PolarizedSystem, coords, p: int, cfg: GreenConfig) -> G
     coords = tuple(int(c) for c in coords)
     if all(c == 0 for c in coords):
         raise ValidationError("zero lift coordinates")
-    if system.dim != 1:
-        # No resultant bound on P^N: start with 64 digits and double them
-        # whenever an image vanishes to working precision.  An image that is
-        # the exact zero vector (an indeterminacy point of a non-morphism)
-        # would exhaust any precision, so restarts stop at a generous
-        # desk-scale ceiling.
-        prec0 = 64
-        while prec0 <= 2**16:
-            try:
-                return _padic_walk(system, coords, p, cfg, cfg.depth, None, prec0)
-            except _PrecisionExhausted:
-                prec0 *= 2
-        raise IndeterminatePointError(
-            f"images vanish {p}-adically beyond working precision: indeterminate point"
-        )
+    certs = [mp.certificate() for mp in system.maps]     # "not a morphism" for a zero D
     ords = [ord_p(res, p) for res in system.resultants()]
     if max(ords) == 0:
-        # Good reduction: images of primitive tuples stay primitive, so the
-        # walk contributes nothing beyond the initial content.
+        # Good reduction: the Macaulay rows stay independent mod p, so
+        # images of primitive tuples stay primitive, and the walk
+        # contributes nothing beyond the initial content.
         exact = Fraction(-min(ord_p(c, p) for c in coords if c != 0))
         return GreenProfile(float(exact) * math.log(p), [], 0.0, 0, 0, exact)
     chat = float(Fraction(sum(ords), system.alpha)) * math.log(p)
     # Let x be primitive, x_j a unit, and p^e | F_i(x).  The certificate
-    # R_ij * X_j^(2d-1) = G_ij0 * F_i0 + G_ij1 * F_i1 evaluated at x gives
-    # p^e | R_ij * x_j^(2d-1), so e <= ord_p(R_ij): an image has valuation
-    # at most r = max_{i,j} ord_p(R_ij).  So a step reads at most r digits
-    # and the last step one more to find its valuation: a state at level m
-    # of a depth-D walk needs (D - m)*r + 1 digits.  Since R_ij divides
-    # Res F_i, the certificates are needed only at bad primes.  chat keeps
-    # the resultant bound, so the horizon, the stop depth and every value
-    # are those of a walk trimmed by ord_p(Res); fewer states stay distinct.
-    # An adaptive walk meets its stop rule by the level after m*, the first
+    # R_ij * X_j^delta = sum_l G_ijl * F_il evaluated at x gives
+    # p^e | R_ij * x_j^delta, so e <= ord_p(R_ij): an image has valuation at
+    # most r = max_{i,j} ord_p(R_ij).  So a step reads at most r digits and
+    # the last step one more to find its valuation: a state at level m of a
+    # depth-D walk needs (D - m)*r + 1 digits.  R_ij divides D_i, the
+    # minor of resultant(), so e_i <= ord_p(D_i) certifies chat.  An
+    # adaptive walk meets its stop rule by the level after m*, the first
     # level whose certified tail is below eps, so D = m* + 1; if float
     # rounding says otherwise, the walk reruns against the depth cap.
-    r = max(ord_p(rj, p) for mp in system.maps for rj, _forms in mp.certificate())
+    r = max(ord_p(rj, p) for cert in certs for rj, _forms in cert)
     horizon = cfg.depth
     if cfg.mode == "adaptive":
         m_star = 1
         while m_star < cfg.depth and geom_tail(system, chat, m_star) >= cfg.target_eps:
             m_star += 1
         horizon = min(cfg.depth, m_star + 1)
-    try:
-        return _padic_walk(system, coords, p, cfg, horizon, (r, chat))
-    except _PrecisionExhausted:
-        return _padic_walk(system, coords, p, cfg, cfg.depth, (r, chat))
+    prof = _padic_walk(system, coords, p, cfg, horizon, r, chat)
+    if horizon < cfg.depth and not _converged(system, cfg, prof.increments, chat):
+        prof = _padic_walk(system, coords, p, cfg, cfg.depth, r, chat)
+    return prof
 
 
 # -- public surface ---------------------------------------------------------------------

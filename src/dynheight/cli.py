@@ -77,11 +77,14 @@ def load_system_file(path: str | Path) -> SystemFile:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     try:
         dim = doc["space"]["dim"]
-        lifts = [[str(s) for s in entry["lift"]] for entry in doc["maps"]]
+        lift_docs = [entry["lift"] for entry in doc["maps"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: bad system document: {exc}") from exc
     if type(dim) is not int or dim < 1:
         raise ValidationError(f"{path}: space.dim must be an integer >= 1, not {dim!r}")
+    if not all(isinstance(lift, list) for lift in lift_docs):
+        raise ValidationError(f"{path}: each lift must be a list of {dim + 1} polynomials")
+    lifts = [[str(s) for s in lift] for lift in lift_docs]
     section_doc = doc.get("section")
     if section_doc is not None and not (isinstance(section_doc, list) and len(section_doc) == dim + 1):
         raise ValidationError(f"{path}: section must be a list of {dim + 1} polynomials in t")

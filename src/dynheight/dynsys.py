@@ -11,30 +11,25 @@ A polarized system is a tuple of k such morphisms on the same P^N.  Its
 weight is alpha = sum of the degrees, and alpha > k is required throughout:
 that inequality is what makes the averaged height relation contract.
 
-On P^1, being a morphism is equivalent to the resultant of the two
-coordinate forms being nonzero, and the primes dividing the resultants are
-the only finite places that can carry a nonzero Green function.  One
-fraction-free solve per map gives both the resultant and the
-Nullstellensatz certificate.  Its rows are those of S^T, S the 2d x 2d
-Sylvester matrix of the lift, built straight from the lift in the lift's
-ring (Z for a constant lift, Z[t] for a parametric one), and its two
-right-hand sides are the columns of X_0^(2d-1) and X_1^(2d-1).
-linalg.solve_scaled returns D = det S = Res, which Morphism.resultant
-reads, and y = D * g for the unique solution g of S^T g = e_c, c the
-column of X_j^(2d-1): the entries of y are the coefficients of forms
-G_j0, G_j1 over that ring with Res * X_j^(2d-1) = G_j0*F_0 + G_j1*F_1.  Morphism.certificate reads the
-least such multiple R_j of X_j^(2d-1) and its forms from y, only on
-demand; they bound the p-adic valuation of an image (see canonical).  On
-higher P^N no resultant is computed; morphism-ness is user-asserted and
-failures surface as runtime "indeterminate point" errors.
+A lift F of degree d on P^N is a morphism exactly when the forms
+sum_i G_i*F_i, G_i of degree delta - d, fill every form of Macaulay's
+degree delta = (N+1)(d-1)+1.  One cached fraction-free solve per map
+(Morphism._solve) decides it and gives the Nullstellensatz certificate.
+Its rows are the monomials of degree delta, its columns the multiples
+mu*F_i, and its right-hand sides X_0^delta, ..., X_N^delta, built straight
+from the lift in its ring (Z, or Z[t] for a parametric lift); on P^1 the
+matrix is S^T, S the Sylvester matrix.  Morphism.resultant is the solve's
+signed minor D: the resultant on P^1, a nonzero multiple of the Macaulay
+resultant on P^N, and 0 exactly for a non-morphism, which validate_system
+rejects.  Morphism.certificate reads from the solve, on demand, R_j and
+forms G_ji with R_j * X_j^delta = sum_i G_ji*F_i and R_j | D; they bound
+the p-adic valuation of an image (see canonical).
 
-The resultant also bounds the content of an exact image.  At a primitive
-x, g = gcd(F_0(x), F_1(x)) divides Res * x_0^(2d-1) and Res * x_1^(2d-1)
-by that identity, and their gcd is Res since the x_j are coprime.  So
-Morphism.apply renormalizes by gcd(Res, F_0(x), F_1(x)), a reduction
-modulo a small integer instead of a gcd of two huge ones, and apply_ff
-does the same in Z[t] with the t-resultant.  On P^N, or with a zero
-resultant, the bound is 0 (unknown) and the gcd is the full one.  The
+D also bounds the content of an exact image: at a primitive x,
+gcd_i F_i(x) divides every R_j * x_j^delta, so it divides lcm_j R_j and
+hence D.  So Morphism.apply renormalizes by gcd(D, F_0(x), ..., F_N(x)),
+a reduction modulo a small integer instead of a gcd of huge ones, and
+apply_ff does the same in Z[t].  With D = 0 the gcd is the full one.  The
 argument needs primitive input, which is why only projective.normalize
 and normalize_ff build points.
 
@@ -50,6 +45,7 @@ archimedean float sums are reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -307,12 +303,9 @@ class Morphism:
     def apply(self, point: ProjPointQ) -> ProjPointQ:
         """Evaluate on primitive coordinates and renormalize; exact.
 
-        On P^1 the content of F(x) divides Res(F) for primitive x, because
-        Res(F) * x_j^(2d-1) = G_j0(x)*F_0(x) + G_j1(x)*F_1(x) for j = 0, 1
-        with integer forms G_ji, and x_0^(2d-1), x_1^(2d-1) are coprime.  So
-        the content is gcd(Res, F_0(x), F_1(x)): a reduction of the huge
-        coordinates modulo Res.  On P^N, or with a zero resultant, it is
-        the full gcd.
+        The content of F(x) divides D = resultant() (see the module
+        docstring), so it is gcd(D, F_0(x), ..., F_N(x)): the huge
+        coordinates reduced modulo D.  With D = 0 it is the full gcd.
         """
         if point.dim != self.dim:
             raise ValidationError("dimension mismatch")
@@ -321,23 +314,20 @@ class Morphism:
         vals = self.eval_raw(point.coords)
         if all(v == 0 for v in vals):
             raise IndeterminatePointError("indeterminate point")
-        return normalize(vals, self.resultant() if self.dim == 1 else 0)
+        return normalize(vals, self.resultant())
 
     def apply_ff(self, point: ProjPointFF) -> ProjPointFF:
         """Evaluate on Q(t)-coordinates and renormalize to a coprime tuple.
 
-        The argument of apply, in Z[t]: for coprime x of content 1 the
-        gcd of F_0(x) and F_1(x) divides the t-resultant, so the
-        polynomial gcd starts from it and is skipped when it is a nonzero
-        constant (as for x^2 + t).  On P^N, or with a zero resultant, it is
-        the full gcd.
+        As apply, in Z[t]: the polynomial gcd starts from D and is skipped
+        when D is a nonzero constant (as for x^2 + t).
         """
         if point.dim != self.dim:
             raise ValidationError("dimension mismatch")
         vals = self.eval_raw(point.coords)
         if all(v == 0 for v in vals):
             raise IndeterminatePointError("indeterminate point")
-        return normalize_ff(vals, self.resultant() if self.dim == 1 else 0)
+        return normalize_ff(vals, self.resultant())
 
     # -- structure ---------------------------------------------------------------
 
@@ -347,66 +337,62 @@ class Morphism:
             raise ValidationError("dimension mismatch")
         return Morphism([p.eval(inner.lift) if not p.is_zero else p for p in self.lift])
 
-    def _solve(self, what: str) -> tuple:
-        """The one cached solve of S^T g = e_0, e_(2d-1) of a map of P^1.
+    def _solve(self) -> tuple:
+        """The one cached solve of M y_j = D * e_j, j = 0..N, M the Macaulay matrix.
 
-        Row c of S^T holds, for each Sylvester row r = d*p + i, the
-        coefficient of X0^(2d-1-c) * X1^c in X0^(d-1-i) * X1^i * F_p;
-        entries are in the lift's ring.  Returns solve_scaled's (D, ys), or
-        (zero of the ring, None) when the resultant vanishes.
+        Entries are in the lift's ring (layout: _macaulay_layout).  Returns
+        solve_scaled's (D, ys), or (zero of the ring, None) when the rows of
+        M are dependent: the map is not a morphism.
         """
         if self._solved is None:
-            if self.dim != 1:
-                raise ValidationError(f"{what} is only defined on P^1")
-            d, n = self.degree, 2 * self.degree
+            nrows, mults, rows_of, rhs = _macaulay_layout(self.nvars, self.degree)
             one = TPoly.const(1) if self.has_param else 1
-            rows: list[dict] = [{} for _ in range(n)]
-            for p, form in enumerate(self.lift):
-                for (e0, _e1), c in form.terms.items():
-                    for i in range(d):
-                        rows[i + d - e0][d * p + i] = one * c
-            rows[0][n] = one
-            rows[n - 1][n + 1] = one
-            self._solved = solve_scaled(rows, 2) or (one * 0, None)
+            rows: list[dict] = [{} for _ in range(nrows)]
+            for i, form in enumerate(self.lift):
+                base = i * len(mults)
+                for e, c in form.terms.items():
+                    v = one * c
+                    for m, r in enumerate(rows_of[e]):
+                        rows[r][base + m] = v
+            n = self.nvars * len(mults)
+            for j, r in enumerate(rhs):
+                rows[r][n + j] = one
+            self._solved = solve_scaled(rows, n, self.nvars) or (one * 0, None)
         return self._solved
 
     def resultant(self) -> int | TPoly:
-        """Sylvester resultant of the two coordinate forms (P^1), sign included.
+        """The signed minor D of the cached solve, in the lift's ring (int or TPoly).
 
-        The signed determinant D of the cached solve, over the lift's
-        coefficient ring: an int for a constant lift, a TPoly for a
-        parametric one (zero included).
+        On P^1 the resultant of the two coordinate forms, sign included; on
+        P^N a nonzero multiple of the Macaulay resultant.  0 exactly when
+        the map is not a morphism.
         """
-        return self._solve("resultant")[0]
+        return self._solve()[0]
 
     def certificate(self) -> tuple:
-        """Nullstellensatz certificate of a morphism of P^1.
+        """Nullstellensatz certificate of a morphism of P^N.
 
-        Returns ((R_0, (G_00, G_01)), (R_1, (G_10, G_11))): for j = 0, 1,
-        R_j is the least positive integer with
-        R_j * X_j^(2d-1) = G_j0 * F_0 + G_j1 * F_1 for integer forms G_ji
-        of degree d - 1.  The coefficients of (G_j0, G_j1) are the g with
-        S^T g = R_j * e_c, S the Sylvester matrix and c the column of
-        X_j^(2d-1).  S is invertible, so g / R_j = y / D is the unique
-        rational solution for e_c, with D = Res and the integers y
-        (Cramer's rule) of the cached solve that gave the resultant.  R_j,
-        the lcm of its denominators, is |D| / gcd(D, y), a divisor of the
-        resultant.
+        Returns, per coordinate j, (R_j, (G_j0, ..., G_jN)): a positive
+        integer and integer forms (or zeros) with R_j * X_j^delta =
+        sum_i G_ji * F_i.  The cached solve's y has M y = D * e_j, so y / D
+        solves M g = e_j and R_j = |D| / gcd(D, y), the lcm of its
+        denominators, divides D.  On P^1, M = S^T is invertible, so R_j is
+        the least such integer; on P^N it is a multiple of the least.
         """
         if self._certificate is None:
             if self.has_param:
                 raise ValidationError("parametric lift has no integer certificate (specialize first)")
-            res, ys = self._solve("certificate")
+            res, ys = self._solve()
             if ys is None:
                 raise ValidationError(f"not a morphism: zero resultant for {self}")
-            d = self.degree
+            _nrows, mults, _rows_of, _rhs = _macaulay_layout(self.nvars, self.degree)
             cert = []
             for y in ys:
                 rj = abs(res) // gcd(res, *y)
                 scale = res // rj
                 forms = tuple(
-                    HomogPoly(2, {(d - 1 - i, i): y[d * p + i] // scale for i in range(d)})
-                    for p in range(2)
+                    HomogPoly(self.nvars, {mu: y[i * len(mults) + m] // scale for m, mu in enumerate(mults)})
+                    for i in range(self.nvars)
                 )
                 cert.append((rj, forms))
             self._certificate = tuple(cert)
@@ -423,6 +409,34 @@ class Morphism:
                 HomogPoly(self.nvars, {e: int(c * scale) for e, c in terms.items()})
             )
         return Morphism(lift, normalize=True)
+
+
+def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of the monomials of a degree in nvars variables, descending lex."""
+    if nvars == 1:
+        return [(degree,)]
+    return [(e, *rest) for e in range(degree, -1, -1) for rest in _monomials(nvars - 1, degree - e)]
+
+
+@functools.cache
+def _macaulay_layout(nvars: int, d: int) -> tuple:
+    """The layout of the Macaulay matrix of the degree-d maps of P^(nvars-1).
+
+    Rows are the monomials of degree delta = nvars*(d-1)+1, columns the
+    pairs (coordinate i, multiplier mu of degree delta-d) at i*M + m for the
+    m-th of M multipliers, both in descending lex order.  Returns (row
+    count, the multipliers, {degree-d exponent e: the rows of mu*X^e}, the
+    rows of X_0^delta, ..., X_N^delta).
+    """
+    delta = nvars * (d - 1) + 1
+    row_of = {e: r for r, e in enumerate(_monomials(nvars, delta))}
+    mults = _monomials(nvars, delta - d)
+    rows_of = {
+        e: [row_of[tuple(a + b for a, b in zip(mu, e))] for mu in mults]
+        for e in _monomials(nvars, d)
+    }
+    rhs = [row_of[tuple(delta * (i == j) for i in range(nvars))] for j in range(nvars)]
+    return len(row_of), mults, rows_of, rhs
 
 
 def _canonical_lift(lift: tuple) -> tuple:
@@ -462,7 +476,9 @@ class PolarizedSystem:
         return tuple(m.resultant() for m in self.maps)
 
     def bad_primes(self) -> list[int]:
-        """Primes dividing some lift resultant (P^1 only), sorted."""
+        """Primes dividing some lift resultant, sorted; P^N's minors are too large to factor."""
+        if self.dim != 1:
+            raise ValidationError("bad primes are only computed on P^1")
         if self._bad_primes is None:
             res = prod(self.resultants())
             found = sorted(prime_factors(res)) if abs(res) != 1 else []
@@ -482,11 +498,11 @@ def polarization(maps: tuple) -> tuple[int, int]:
 
 
 def validate_system(maps) -> PolarizedSystem:
-    """Check the polarization inequality and, on P^1, morphism-ness.
+    """Check the polarization inequality and morphism-ness.
 
     alpha is the sum of the coordinate degrees; the system is rejected
-    unless alpha > k.  On P^1 a zero resultant means some map is not a
-    morphism and the system is rejected as well.
+    unless alpha > k.  A zero D (Morphism.resultant) means some map is not
+    a morphism and the system is rejected as well.
     """
     maps = tuple(maps)
     k, alpha = polarization(maps)
@@ -496,10 +512,9 @@ def validate_system(maps) -> PolarizedSystem:
     (dim,) = dims
     if any(m.has_param for m in maps):
         raise ValidationError("parametric lift in a constant system (specialize first)")
-    if dim == 1:
-        for m in maps:
-            if m.resultant() == 0:
-                raise ValidationError(f"not a morphism: zero resultant for {m}")
+    for m in maps:
+        if m.resultant() == 0:
+            raise ValidationError(f"not a morphism: zero resultant for {m}")
     return PolarizedSystem(maps=maps, k=k, alpha=alpha, dim=dim)
 
 

@@ -26,7 +26,6 @@ from .errors import ValidationError
 __all__ = [
     "Place",
     "ord_p",
-    "ord_p_rational",
     "log_abs",
     "support",
     "is_prime",
@@ -183,14 +182,6 @@ def ord_p(n: int, p: int) -> int:
     return e
 
 
-def ord_p_rational(q: Fraction | int, p: int) -> int:
-    """p-adic valuation of a nonzero rational, ord_p(a/b) = ord_p(a) - ord_p(b)."""
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("valuation of zero")
-    return ord_p(q.numerator, p) - ord_p(q.denominator, p)
-
-
 def log_abs(q: Fraction | int, v: Place) -> float:
     """Normalized logarithmic absolute value log|q|_v of a nonzero rational.
 
@@ -202,7 +193,7 @@ def log_abs(q: Fraction | int, v: Place) -> float:
         raise ValueError("log of zero")
     if v.is_infinite:
         return math.log(abs(q.numerator)) - math.log(q.denominator)
-    return -ord_p_rational(q, v.p) * math.log(v.p)
+    return -(ord_p(q.numerator, v.p) - ord_p(q.denominator, v.p)) * math.log(v.p)
 
 
 def support(q: Fraction | int) -> list[Place]:

@@ -395,25 +395,20 @@ def verify_intersection_formula(model: SyntheticModel) -> VerificationReport:
 # -- JSON round trip -----------------------------------------------------------------
 
 
-def _frac_str(v: Fraction) -> str:
-    v = Fraction(v)
-    return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-
-
 def model_to_json(model: SyntheticModel) -> str:
     doc = {
         "n": model.n,
         "k": model.k,
-        "alpha": _frac_str(model.alpha),
+        "alpha": str(model.alpha),
         "actions": [[v + 1 for v in act.image] for act in model.actions],
-        "c": [_frac_str(v) for v in model.c],
+        "c": [str(v) for v in model.c],
         "points": [
             {
                 "id": pt.pid,
                 "sigma": pt.sigma + 1,
                 "images": list(pt.images),
-                "iE": _frac_str(pt.i_e),
-                "vf": _frac_str(pt.vf),
+                "iE": str(pt.i_e),
+                "vf": str(pt.vf),
             }
             for pt in model.points
         ],

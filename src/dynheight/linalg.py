@@ -6,23 +6,27 @@ entries (ints for Z, TPolys throughout for Z[t]), and its divisions are
 exact by construction.
 
 Both take one row format: a {column: value} dict, with columns 0..n-1
-for n rows holding the matrix; solve_exact checks the columns and drops
-zeros, solve_scaled takes rows without zero entries.  For each column c
-in turn the pivot is the pending row with a nonzero entry in c and the
-fewest entries (ties go to the lowest position); the parity of its
-position among the pending rows gives the determinant's sign.  Bareiss
-then updates each pending row with an entry in c, over the union of its
-columns and the pivot row's, and drops the zeros; a row without one only
-changes by a factor, applied when the row is next touched.  So an orbit
-matrix with k+1 entries per row is never filled in densely.
+for the n unknowns; solve_exact checks the columns and drops zeros,
+solve_scaled takes rows without zero entries.  The matrix may be
+rectangular.  For each column c in turn the pivot is the pending row
+with a nonzero entry in c and the fewest entries (ties go to the lowest
+position); the parity of its position among the pending rows gives the
+sign.  A column with no entry in any pending row has no pivot: its
+unknown is free.  Bareiss then updates each pending row with an entry in
+c, over the union of its columns and the pivot row's, and drops the
+zeros; a row without one only changes by a factor, applied when the row
+is next touched.  So an orbit matrix with k+1 entries per row is never
+filled in densely.
 
-solve_scaled eliminates rows augmented by one column per right-hand side
-and back-substitutes each column without fractions: with D the signed
-determinant (the sign times the last pivot), y_c = (D*b_c - sum_j
-a_cj*y_j) / a_cc is in the ground ring by Cramer's rule.  With no
-right-hand side it is the determinant alone.  solve_exact clears
-denominators row by row, solves with one right-hand side, and builds one
-Fraction x_c = y_c / D per unknown.
+solve_scaled eliminates rows augmented by one column per right-hand side.
+A row left without a pivot means the rows are dependent, and there is no
+solution.  Otherwise D, the sign times the last pivot, is the maximal
+minor on the pivot columns (the determinant of a square matrix), and each
+column is back-substituted without fractions: y_c = (D*b_c - sum_j
+a_cj*y_j) / a_cc is in the ground ring by Cramer's rule, and the free
+unknowns are 0.  With no right-hand side it is D alone.  solve_exact
+clears denominators row by row, solves a square system with one
+right-hand side, and builds one Fraction x_c = y_c / D per unknown.
 """
 
 from __future__ import annotations
@@ -39,9 +43,10 @@ def _eliminate(rows: list[dict], n: int) -> tuple[int, list[tuple]]:
 
     Entries in columns n and above (an augmented right-hand side) are
     carried along; the row dicts are consumed.  Returns the sign of the
-    pivot order and the pivots as (pivot value, rest of the pivot row) in
-    column order, so that sign * pivots[-1][0] is the determinant; the
-    sign is 0 when the rows are singular.
+    pivot order and the pivots as (column, pivot value, rest of the pivot
+    row) in column order, so that sign * pivots[-1][1] is the maximal
+    minor on the pivot columns; the sign is 0 when a row is left without a
+    pivot.
     """
     # A pending row is kept with the index of the pivot its values were last
     # brought to.  Bareiss rescales a row without an entry in the pivot
@@ -59,7 +64,7 @@ def _eliminate(rows: list[dict], n: int) -> tuple[int, list[tuple]]:
             if c in row and (pos is None or len(row) < len(pending[pos][0])):
                 pos = i
         if pos is None:
-            return 0, pivots
+            continue
         if pos & 1:
             sign = -sign
         rest, s = pending.pop(pos)
@@ -67,7 +72,7 @@ def _eliminate(rows: list[dict], n: int) -> tuple[int, list[tuple]]:
         if s != len(scale) - 1:
             rest = {j: v * prev // scale[s] for j, v in rest.items()}
         piv = rest.pop(c)
-        pivots.append((piv, rest))
+        pivots.append((c, piv, rest))
         scale.append(piv)
         for i, (row, s) in enumerate(pending):
             a = row.pop(c, None)
@@ -77,7 +82,7 @@ def _eliminate(rows: list[dict], n: int) -> tuple[int, list[tuple]]:
                     new[j] = new.get(j, 0) - a * v
                 q = scale[s]
                 pending[i] = ({j: v // q for j, v in new.items() if v}, len(scale) - 1)
-    return sign, pivots
+    return (0 if pending else sign), pivots
 
 
 def _checked(rows: list[dict], n: int) -> list[dict]:
@@ -90,25 +95,25 @@ def _checked(rows: list[dict], n: int) -> list[dict]:
     return out
 
 
-def solve_scaled(rows: list[dict], w: int) -> tuple | None:
-    """Fraction-free solve of n dict rows with w right-hand sides, over Z or Z[t].
+def solve_scaled(rows: list[dict], n: int, w: int) -> tuple | None:
+    """Fraction-free solve of dict rows in n unknowns with w right-hand sides, over Z or Z[t].
 
     Columns 0..n-1 hold the matrix A and columns n..n+w-1 the right-hand
     sides b_t, with nonzero entries in one ring (ints, or TPolys
-    throughout); the row dicts are consumed.  Returns (D, ys), D = det A
-    (the empty matrix has D = 1) and ys[t] = D * x_t for A x_t = b_t, in
-    the ring by Cramer's rule; None when A is singular.
+    throughout); the row dicts are consumed.  Returns (D, ys): D is the
+    signed maximal minor of A on its pivot columns (det A when A is
+    square; the empty matrix has D = 1), and ys[t] solves A y = D * b_t,
+    in the ring by Cramer's rule, with the free unknowns 0.  None when the
+    rows of A are dependent.
     """
-    n = len(rows)
     sign, pivots = _eliminate(rows, n)
     if not sign:
         return None
-    det = sign * pivots[-1][0] if pivots else 1
+    det = sign * pivots[-1][1] if pivots else 1
     ys = []
     for t in range(n, n + w):
         y = [0] * n
-        for c in range(n - 1, -1, -1):
-            piv, rest = pivots[c]
+        for c, piv, rest in reversed(pivots):
             acc = det * rest.get(t, 0)
             for j, v in rest.items():
                 if j < n:
@@ -128,7 +133,7 @@ def solve_exact(a_rows: list[dict], b: list[Fraction]) -> list[Fraction] | None:
         # Clear denominators over the row's nonzeros and its right-hand side.
         cols = [*row, n]
         aug.append({j: v for j, v in zip(cols, clear_denominators([*row.values(), rhs])) if v})
-    solved = solve_scaled(aug, 1)
+    solved = solve_scaled(aug, n, 1)
     if solved is None:
         return None
     det, (y,) = solved

@@ -1,5 +1,6 @@
 """Green functions, canonical heights, and the two-route cross-checks."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -242,8 +243,11 @@ def test_certificate_pins_and_rejections():
         m("X0^2", "X0*X1").certificate()
     with pytest.raises(ValidationError, match="not a morphism"):
         m("X0^2", "0").certificate()
-    with pytest.raises(ValidationError, match="only defined on P\\^1"):
-        Morphism.from_strings(["X0^2", "X1^2", "X2^2"], dim=2).certificate()
+    # P^2, Macaulay degree 4: X_j^4 = X_j^2 * F_j, so every R_j is 1.
+    sq3 = Morphism.from_strings(["X0^2", "X1^2", "X2^2"], dim=2)
+    for j, (rj, forms) in enumerate(sq3.certificate()):
+        target = HomogPoly(3, {tuple(4 * (i == j) for i in range(3)): rj})
+        assert rj == 1 and sum((g * f for g, f in zip(forms, sq3.lift)), HomogPoly.zero(3)) == target
     with pytest.raises(ValidationError, match="specialize first"):
         m("X0^2 + t*X1^2", "X1^2").certificate()
 
@@ -272,6 +276,97 @@ def test_certificate_bounds_image_valuation_bruteforce(rows):
             assert any(v % mod for v in f.eval_raw(x)), (p, r, x)
 
 
+def _exponents(nvars: int, d: int) -> list[tuple[int, ...]]:
+    return [e for e in itertools.product(range(d + 1), repeat=nvars) if sum(e) == d]
+
+
+def _pn_lift(nvars: int, d: int, coeffs: int = 3):
+    """Lifts of degree d on P^(nvars-1): nvars forms, each coefficient in [-coeffs, coeffs]."""
+    exps = _exponents(nvars, d)
+    form = st.lists(st.integers(-coeffs, coeffs), min_size=len(exps), max_size=len(exps))
+    return st.lists(form, min_size=nvars, max_size=nvars).map(
+        lambda rows: [HomogPoly(nvars, dict(zip(exps, row))) for row in rows]
+    )
+
+
+@given(st.one_of(_pn_lift(3, 2), _pn_lift(3, 3), _pn_lift(4, 2)))
+@example([HomogPoly(3, {(2, 0, 0): 1}), HomogPoly(3, {(0, 2, 0): 1}), HomogPoly(3, {})])
+@settings(max_examples=40, deadline=None)
+def test_certificate_identity_on_pn(lift):
+    # R_j * X_j^delta = sum_i G_ji * F_i by HomogPoly arithmetic, delta the
+    # Macaulay degree (N+1)(d-1)+1, and R_j divides the map's minor.
+    try:
+        f = Morphism(lift)
+    except ValidationError:
+        assume(False)               # a zero lift
+    minor = f.resultant()
+    if minor == 0:
+        with pytest.raises(ValidationError, match="not a morphism"):
+            f.certificate()
+        return
+    n, d = f.nvars, f.degree
+    delta = n * (d - 1) + 1
+    for j, (rj, forms) in enumerate(f.certificate()):
+        assert type(rj) is int and rj > 0 and minor % rj == 0
+        assert len(forms) == n and all(g.is_zero or g.degree == delta - d for g in forms)
+        total = HomogPoly.zero(n)
+        for g, fi in zip(forms, f.lift):
+            total = total + g * fi
+        assert total == HomogPoly(n, {tuple(delta * (i == j) for i in range(n)): rj})
+
+
+@given(
+    st.lists(_pn_lift(3, 2, coeffs=2), min_size=1, max_size=2),
+    st.sampled_from([2, 3]),
+    st.tuples(*[st.integers(-4, 4)] * 3),
+    st.integers(1, 4),
+)
+@example([[HomogPoly(3, {(2, 0, 0): 1}), HomogPoly(3, {(0, 2, 0): 1}), HomogPoly(3, {(0, 0, 2): 4})],
+          [HomogPoly(3, {(2, 0, 0): 1, (0, 1, 1): 2}), HomogPoly(3, {(0, 2, 0): 3}),
+           HomogPoly(3, {(0, 0, 2): 1, (1, 1, 0): 1})]], 2, (1, 2, 4), 4)
+@settings(max_examples=40, deadline=None)
+def test_padic_walk_matches_bruteforce_on_p2(lifts, p, coords, depth):
+    # A fixed-depth walk on P^2, trimmed by the certificates, gives the
+    # exact value of the full big-integer word sum.
+    assume(any(coords))
+    try:
+        system = validate_system([Morphism(lift) for lift in lifts])
+    except ValidationError:
+        assume(False)               # a zero lift, a non-morphism or alpha <= k
+    prof = green_profile(system, coords, Place(p), GreenConfig(depth=depth))
+    assert prof.exact == _padic_green_bruteforce(system, coords, p, depth)
+
+
+def test_pn_trim_is_tight():
+    # (0:0:1) maps to (0:0:c), which is (0:0:1) again, so every step has
+    # valuation ord_2(c) = max ord_2(R_j): a trim one digit short would
+    # read a vanished image.
+    for c, value in ((4, Fraction(-63, 32)), (8, Fraction(-189, 64))):
+        system = validate_system([Morphism.from_strings(["X0^2", "X1^2", f"{c}*X2^2"], dim=2)])
+        assert max(ord_p(rj, 2) for rj, _g in system.maps[0].certificate()) == ord_p(c, 2)
+        prof = green_profile(system, (0, 0, 1), Place(2), GreenConfig(depth=6))
+        assert prof.exact == value == _padic_green_bruteforce(system, (0, 0, 1), 2, 6)
+
+
+def test_pn_green_walks_once(monkeypatch):
+    # One certified walk per call on P^N, fixed or adaptive: no restarts.
+    weighted = validate_system(
+        [Morphism.from_strings(["X0^2", "X1^2", "2*X2^2"], dim=2, normalize=False)]
+    )
+    real_walk = canonical._padic_walk
+    calls = []
+
+    def spy_walk(*args):
+        calls.append(args[4])
+        return real_walk(*args)
+
+    monkeypatch.setattr(canonical, "_padic_walk", spy_walk)
+    for cfg in (GreenConfig(depth=8), GreenConfig(depth=60, target_eps=1e-6, mode="adaptive")):
+        calls.clear()
+        prof = green_profile(weighted, (0, 0, 1), Place(2), cfg)
+        assert len(calls) == 1 and prof.exact == -1 + Fraction(1, 2**prof.depth)
+
+
 def test_higher_dimension_green_and_oracle():
     sq3 = Morphism.from_strings(["X0^2", "X1^2", "X2^2"], dim=2)
     system = validate_system([sq3])
@@ -281,7 +376,7 @@ def test_higher_dimension_green_and_oracle():
     assert green_local(system, p.coords, INFINITY, GreenConfig(depth=8)) == pytest.approx(
         weil_height(p), abs=1e-12
     )
-    # finite place on P^2 runs the monitored walk (no resultant shortcut)
+    # 5 divides no D of the map: good reduction, the initial content only
     assert green_local(system, p.coords, Place.prime(5), GreenConfig(depth=8)) == 0.0
     weighted = validate_system(
         [Morphism.from_strings(["X0^2", "X1^2", "2*X2^2"], dim=2, normalize=False)]
@@ -296,11 +391,13 @@ def test_higher_dimension_green_and_oracle():
 
 def test_zero_coordinate_lift_on_p2():
     # The zero coordinate evaluates to the scalar 0, which must fill a whole
-    # column of the level array.
-    system = validate_system([
+    # column of the level array.  The first map is not a morphism (it
+    # vanishes at (0:0:1)), so validate_system would reject the system.
+    maps = (
         Morphism.from_strings(["X0^2", "X1^2", "0"], dim=2),
         Morphism.from_strings(["X0^3", "X1^3", "X2^3"], dim=2),
-    ])
+    )
+    system = PolarizedSystem(maps=maps, k=2, alpha=5, dim=2)
     assert green_local(system, (3, 2, 5), INFINITY, GreenConfig(depth=5)) == 1.138334089172153
 
 
@@ -794,12 +891,10 @@ def test_forward_orbit_is_breadth_first():
 
 
 def test_padic_walk_rejects_indeterminate_point():
-    from dynheight.dynsys import PolarizedSystem
-    from dynheight.errors import IndeterminatePointError
-
-    # bypass validation to hit the indeterminacy of a non-morphism on P^2,
-    # where no resultant bound exists and the walk must not loop forever
+    # bypass validation: the p-adic walk itself rejects a non-morphism on
+    # P^2 by its zero D, before it walks at all (exit 2)
     bad = Morphism.from_strings(["X0^2", "X0*X1", "X0*X2"], dim=2)
     system = PolarizedSystem(maps=(bad,), k=1, alpha=2, dim=2)
-    with pytest.raises(IndeterminatePointError):
+    with pytest.raises(ValidationError, match="not a morphism") as exc:
         green_local(system, (0, 1, 1), Place.prime(3), GreenConfig(depth=4))
+    assert exc.value.exit_code == 2

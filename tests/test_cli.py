@@ -36,6 +36,8 @@ MALFORMED_SYSTEMS = {
     "section_int": {**X2PT_DOC, "section": 5},
     "section_short": {**X2PT_DOC, "section": ["t"]},
     "section_str": {**X2PT_DOC, "section": "t"},
+    "lift_str": {"space": {"dim": 1}, "maps": [{"lift": "X0^2"}]},
+    "p2_not_morphism": {"space": {"dim": 2}, "maps": [{"lift": ["X0^2", "X1^2", "0"]}]},
 }
 MODEL_DOC = {
     "n": 1, "k": 1, "alpha": "2", "actions": [[1]], "c": ["0"],
@@ -373,6 +375,15 @@ def test_bad_arguments_exit_2(files, args):
 def test_space_dim_must_be_a_positive_integer(files, name):
     with pytest.raises(ValidationError, match="space.dim must be an integer >= 1"):
         load_system_file(files[name])
+
+
+@pytest.mark.parametrize("lift", ["X0^2", "01"])
+def test_lift_must_be_a_list(tmp_path, lift):
+    # A string is rejected by name, not parsed one character at a time.
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps({"space": {"dim": 1}, "maps": [{"lift": lift}]}))
+    with pytest.raises(ValidationError, match="each lift must be a list of 2 polynomials"):
+        load_system_file(path)
 
 
 def test_main_entry_point(files, capsys):

@@ -291,6 +291,34 @@ def test_apply_matches_full_gcd(f, a, b):
         assert f.apply(pt) == normalize(f.eval_raw(pt.coords))
 
 
+P2_QUADRICS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+
+
+@given(
+    st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6), min_size=3, max_size=3),
+    st.tuples(*[st.integers(-9, 9)] * 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_apply_matches_full_gcd_on_p2(rows, shift):
+    # On P^2 apply divides by gcd(D, F(x)), D the map's Macaulay minor.  Lifts
+    # of the common zeros mod a small prime p | D carry content at p.
+    try:
+        f = Morphism([HomogPoly(3, dict(zip(P2_QUADRICS, row))) for row in rows])
+    except ValidationError:
+        assume(False)
+    minor = f.resultant()
+    primes = [p for p in (2, 3, 5, 7) if minor and minor % p == 0]
+    assume(primes)
+    p = primes[0]
+    residues = [(u, v, 1) for u in range(p) for v in range(p)] + [(u, 1, 0) for u in range(p)]
+    zeros = [x for x in residues if all(y % p == 0 for y in f.eval_raw(x))]
+    for x in zeros + [(1, 0, 0)]:
+        raw = tuple(u + p * s for u, s in zip(x, shift))
+        if any(raw):
+            pt = normalize(raw)
+            assert f.apply(pt) == normalize(f.eval_raw(pt.coords))
+
+
 def test_apply_removes_content_at_bad_primes():
     # sbad: (X0^2, 2*X1^2) has Res 4 and (X0^3 + X1^3, 3*X1^3) has Res 27;
     # their images of (2a : b) and (a : 3b - a) carry the factors 2 and 3.

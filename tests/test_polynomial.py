@@ -13,6 +13,7 @@ from dynheight.dynsys import Morphism, parse_homog
 from dynheight.errors import ValidationError
 from dynheight.linalg import solve_exact, solve_scaled
 from dynheight.polynomial import TPoly, parse_tpoly
+from dynheight.projective import parse_point
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,11 +40,11 @@ def _dict_rows(rows, ring=int):
 def _scaled_det(rows, ring=int):
     # solve_scaled with no right-hand side on dense rows, zeros dropped
     # (solve_scaled takes rows without zero entries).
-    return solve_scaled([{j: ring(v) for j, v in enumerate(row) if v} for row in rows], 0)
+    return solve_scaled([{j: ring(v) for j, v in enumerate(row) if v} for row in rows], len(rows), 0)
 
 
 def _oracle_solved(rows, ring=int):
-    # What solve_scaled(rows, 0) returns: (signed det, []), None when singular.
+    # What solve_scaled(rows, len(rows), 0) returns: (signed det, []), None when singular.
     det = _det_fraction_oracle(rows)
     return (ring(int(det)), []) if det else None
 
@@ -188,7 +189,7 @@ def test_solve_scaled_two_right_hand_sides(rows, bs):
     aug = [
         {j: v for j, v in enumerate([*row, x, y]) if v} for row, x, y in zip(rows, b1, b2)
     ]
-    solved = solve_scaled(aug, 2)
+    solved = solve_scaled(aug, n, 2)
     expected = [_gauss_jordan(rows, b1), _gauss_jordan(rows, b2)]
     if expected[0] is None:
         assert solved is None
@@ -205,7 +206,7 @@ def test_sparse_pivot_row_swap_sign():
     assert _scaled_det(rows) == (12, []) == _oracle_solved(rows)
     assert _scaled_det(rows, TPoly.const) == (TPoly.const(12), [])
     assert solve_exact(_dict_rows(rows), [1, 2, 3]) == [Fraction(1, 2), Fraction(2), Fraction(-7, 6)]
-    assert solve_scaled([{1: 1}, {0: 1}], 0) == (-1, [])
+    assert solve_scaled([{1: 1}, {0: 1}], 2, 0) == (-1, [])
 
 
 @pytest.mark.parametrize(
@@ -232,12 +233,12 @@ def test_det_tpoly_sylvester_values(source, expected):
 
 def test_det_tpoly():
     t, one = TPoly.t(), TPoly.const(1)
-    assert solve_scaled([{0: t, 1: one}, {0: one, 1: t}], 0) == (parse_tpoly("t^2 - 1"), [])
+    assert solve_scaled([{0: t, 1: one}, {0: one, 1: t}], 2, 0) == (parse_tpoly("t^2 - 1"), [])
     # A zero first pivot forces a row swap, which flips the sign.
     rows = [{1: t, 2: one}, {0: one, 2: t}, {0: t, 1: one}]
-    assert solve_scaled(rows, 0) == (parse_tpoly("t^3 + 1"), [])
-    assert solve_scaled([{0: t, 1: one}, {0: t * t, 1: t}], 0) is None
-    assert solve_scaled([{1: one}, {1: t}], 0) is None
+    assert solve_scaled(rows, 3, 0) == (parse_tpoly("t^3 + 1"), [])
+    assert solve_scaled([{0: t, 1: one}, {0: t * t, 1: t}], 2, 0) is None
+    assert solve_scaled([{1: one}, {1: t}], 2, 0) is None
     # The resultant keeps a zero over Z[t] in Z[t].
     singular = Morphism.from_strings(["t*X0^2", "t*X0*X1"], 1).resultant()
     assert isinstance(singular, TPoly) and singular.is_zero
@@ -250,14 +251,64 @@ def test_solve_exact_rejects_columns_out_of_range():
         solve_exact([{-1: 1}], [1])
 
 
+def test_solve_scaled_rectangular():
+    # Two rows in four unknowns: columns 1 and 3 get no pivot and their
+    # unknowns are 0; D = 8 is the minor on columns 0 and 2.
+    a = [[2, 0, 1, 3], [0, 0, 4, 1]]
+    rows = [{0: 2, 2: 1, 3: 3, 4: 1}, {2: 4, 3: 1, 5: 1}]
+    d, ys = solve_scaled(rows, 4, 2)
+    assert (d, ys) == (8, [[4, 0, 0, 0], [-1, 0, 2, 0]])
+    for t, y in enumerate(ys):
+        assert [sum(v * x for v, x in zip(row, y)) for row in a] == [d * (i == t) for i in range(2)]
+    # The second row is twice the first: it is left without a pivot.
+    assert solve_scaled([{0: 1, 1: 1, 3: 1}, {0: 2, 1: 2}], 3, 1) is None
+    assert solve_scaled([{0: 1, 1: 1}, {0: 2, 1: 2}], 3, 0) is None
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.lists(st.lists(st.integers(-3, 3), min_size=m + 2, max_size=m + 2), min_size=m, max_size=m)
+    )
+)
+def test_solve_scaled_wide_matches_rank(a):
+    # m rows, m + 2 unknowns, one right-hand side per row: a solution with
+    # A y_t = D e_t exists exactly when the rows are independent.
+    m, n = len(a), len(a[0])
+    rows = [{j: v for j, v in enumerate(row) if v} | {n + i: 1} for i, row in enumerate(a)]
+    solved = solve_scaled(rows, n, m)
+    if solved is None:
+        assert _rank(a) < m
+        return
+    d, ys = solved
+    assert _rank(a) == m and d != 0
+    for t, y in enumerate(ys):
+        assert [sum(v * x for v, x in zip(row, y)) for row in a] == [d * (i == t) for i in range(m)]
+
+
+def _rank(a) -> int:
+    rows = [[Fraction(v) for v in row] for row in a]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] / rows[rank][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def test_one_solve_per_map(monkeypatch):
     # The resultant and the certificate of a map of P^1 come from one
     # cached solve_scaled; a parametric map's resultant from one as well.
     calls = []
 
-    def counting(rows, w):
+    def counting(rows, n, w):
         calls.append(w)
-        return solve_scaled(rows, w)
+        return solve_scaled(rows, n, w)
 
     monkeypatch.setattr(dynsys, "solve_scaled", counting)
     f = Morphism.from_strings(["X0^3+X1^3", "3*X1^3"], 1)
@@ -269,6 +320,13 @@ def test_one_solve_per_map(monkeypatch):
     assert g.resultant() == TPoly.const(1)
     assert g.resultant() == TPoly.const(1)
     assert len(calls) == 2
+    # On P^2 one solve of 15 Macaulay rows in 18 unknowns, with 3 right-hand
+    # sides, gives the minor, the certificate and apply's content bound.
+    h = Morphism.from_strings(["X0^2", "X1^2", "4*X2^2"], 2)
+    assert h.resultant() == 256
+    assert [rj for rj, _g in h.certificate()] == [1, 1, 4]
+    assert h.apply(parse_point("0:0:1")).coords == (0, 0, 1)
+    assert calls == [2, 2, 3]
 
 
 def test_tpoly_floordiv_is_exact():
