@@ -56,7 +56,6 @@ from .fibral import (
     ComponentWeights,
     ModelPoint,
     PermTypeMatrix,
-    SpectralEstimate,
     SyntheticModel,
     VerificationReport,
     build_synthetic,

@@ -34,7 +34,9 @@ minor of map i's Macaulay solve (Morphism.resultant, the resultant on
 P^1), so this r is at most max_i ord_p(D_i), often below it; the
 certified tail comes from the D_i.  A prime dividing no D_i has good
 reduction, and a zero D_i is a map that is not a morphism.  An adaptive
-walk takes D one level past the first whose certified tail is below eps.
+walk takes D one level past the first whose certified tail is below eps;
+the D_i bound every increment, so the stop rule holds by D and each
+finite place is walked once.
 
 The canonical height of a rational point on P^1 is the sum of its Green
 values on primitive coordinates over the archimedean place and the bad
@@ -345,41 +347,61 @@ def _unit_canonical(coords: tuple[int, ...], p: int, prec: int) -> tuple[int, ..
     raise AssertionError("no unit coordinate after renormalization")
 
 
-def _padic_walk(
-    system: PolarizedSystem,
-    coords: tuple[int, ...],
-    p: int,
-    cfg: GreenConfig,
-    horizon: int,
-    trim: int,
-    chat: float,
-) -> GreenProfile:
-    # States are (unit-canonical residues, precision).  An image has
-    # valuation at most trim (see _green_padic): the walk starts with
-    # horizon*trim + 1 digits and cuts every child to prec - trim, so states
-    # that agree on every digit the remaining levels can read merge.
-    # children records each parent's valuation sum sum_i e_i; level m's
-    # valuations are words * esum summed over level m - 1.
-    k, alpha = system.k, system.alpha
-    budget = resolve_budget(cfg.node_budget)
-    if cfg.mode == "fixed" and k * horizon > budget:
-        # Every level holds a state, so a fixed walk charges at least k
-        # evaluations per level: fail before building horizon*trim + 1 digits.
-        raise BudgetExceededError(
-            f"budget exceeded: depth {horizon} needs at least {k * horizon} nodes > {budget}"
-        )
-    prec0 = horizon * trim + 1
+def _green_padic(system: PolarizedSystem, coords, p: int, cfg: GreenConfig) -> GreenProfile:
+    coords = tuple(int(c) for c in coords)
+    if all(c == 0 for c in coords):
+        raise ValidationError("zero lift coordinates")
+    certs = [mp.certificate() for mp in system.maps]     # "not a morphism" for a zero D
+    ords = [ord_p(res, p) for res in system.resultants()]
     e0 = min(ord_p(c, p) for c in coords if c != 0)
+    lnp = math.log(p)
+    if max(ords) == 0:
+        # Good reduction: the Macaulay rows stay independent mod p, so
+        # images of primitive tuples stay primitive, and the walk
+        # contributes nothing beyond the initial content.
+        return GreenProfile(-e0 * lnp, [], 0.0, 0, 0, Fraction(-e0))
+    k, alpha = system.k, system.alpha
+    chat = float(Fraction(sum(ords), alpha)) * lnp
+    # Let x be primitive, x_j a unit, and p^e | F_i(x).  The certificate
+    # R_ij * X_j^delta = sum_l G_ijl * F_il evaluated at x gives
+    # p^e | R_ij * x_j^delta, so e <= ord_p(R_ij): an image has valuation at
+    # most r = max_{i,j} ord_p(R_ij).  So a step reads at most r digits and
+    # the last step one more to find its valuation: a state at level m of a
+    # depth-D walk needs (D - m)*r + 1 digits.  R_ij divides D_i, the
+    # minor of resultant(), so e_i <= ord_p(D_i) and a level-m increment is
+    # at most chat * (k/alpha)^(m-1).  An adaptive walk takes D = m* + 1,
+    # m* the first level whose certified tail is below eps: both of the
+    # last two increments are then below the Cauchy threshold, so the stop
+    # rule holds by D, and the tail at D is below eps in any case.
+    r = max(ord_p(rj, p) for cert in certs for rj, _forms in cert)
+    depth = cfg.depth
+    if cfg.mode == "adaptive":
+        m_star = 1
+        while m_star < depth and geom_tail(system, chat, m_star) >= cfg.target_eps:
+            m_star += 1
+        depth = min(depth, m_star + 1)
+    budget = resolve_budget(cfg.node_budget)
+    if cfg.mode == "fixed" and k * depth > budget:
+        # Every level holds a state, so a fixed walk charges at least k
+        # evaluations per level: fail before building depth*r + 1 digits.
+        raise BudgetExceededError(
+            f"budget exceeded: depth {depth} needs at least {k * depth} nodes > {budget}"
+        )
+    # States are (unit-canonical residues, precision): the walk starts with
+    # depth*r + 1 digits and cuts every child to prec - r, so states that
+    # agree on every digit the remaining levels can read merge.  children
+    # records each parent's valuation sum sum_i e_i; level m's valuations
+    # are words * esum summed over level m - 1.
+    prec0 = depth * r + 1
     pe0 = p**e0
     start = tuple((c // pe0) % p**prec0 for c in coords)
     start = (_unit_canonical(start, p, prec0), prec0)
-    lnp = math.log(p)
     esums: dict = {}
 
     def children(state):
         cs, prec = state
         pm = p**prec
-        nprec = prec - trim
+        nprec = prec - r
         pnm = p**nprec
         kids = []
         esum = 0
@@ -397,7 +419,7 @@ def _padic_walk(
     num = -e0
     increments: list[float] = []
     parents = {start: 1}
-    for m, nodes, level in walk(start, children, k, horizon, budget):
+    for m, nodes, level in walk(start, children, k, depth, budget):
         s = sum(words * esums[state] for state, words in parents.items())
         esums.clear()
         parents = level
@@ -407,42 +429,6 @@ def _padic_walk(
             break
     exact = Fraction(num, alpha ** len(increments))
     return GreenProfile(float(exact) * lnp, increments, chat, len(increments), nodes, exact)
-
-
-def _green_padic(system: PolarizedSystem, coords, p: int, cfg: GreenConfig) -> GreenProfile:
-    coords = tuple(int(c) for c in coords)
-    if all(c == 0 for c in coords):
-        raise ValidationError("zero lift coordinates")
-    certs = [mp.certificate() for mp in system.maps]     # "not a morphism" for a zero D
-    ords = [ord_p(res, p) for res in system.resultants()]
-    if max(ords) == 0:
-        # Good reduction: the Macaulay rows stay independent mod p, so
-        # images of primitive tuples stay primitive, and the walk
-        # contributes nothing beyond the initial content.
-        exact = Fraction(-min(ord_p(c, p) for c in coords if c != 0))
-        return GreenProfile(float(exact) * math.log(p), [], 0.0, 0, 0, exact)
-    chat = float(Fraction(sum(ords), system.alpha)) * math.log(p)
-    # Let x be primitive, x_j a unit, and p^e | F_i(x).  The certificate
-    # R_ij * X_j^delta = sum_l G_ijl * F_il evaluated at x gives
-    # p^e | R_ij * x_j^delta, so e <= ord_p(R_ij): an image has valuation at
-    # most r = max_{i,j} ord_p(R_ij).  So a step reads at most r digits and
-    # the last step one more to find its valuation: a state at level m of a
-    # depth-D walk needs (D - m)*r + 1 digits.  R_ij divides D_i, the
-    # minor of resultant(), so e_i <= ord_p(D_i) certifies chat.  An
-    # adaptive walk meets its stop rule by the level after m*, the first
-    # level whose certified tail is below eps, so D = m* + 1; if float
-    # rounding says otherwise, the walk reruns against the depth cap.
-    r = max(ord_p(rj, p) for cert in certs for rj, _forms in cert)
-    horizon = cfg.depth
-    if cfg.mode == "adaptive":
-        m_star = 1
-        while m_star < cfg.depth and geom_tail(system, chat, m_star) >= cfg.target_eps:
-            m_star += 1
-        horizon = min(cfg.depth, m_star + 1)
-    prof = _padic_walk(system, coords, p, cfg, horizon, r, chat)
-    if horizon < cfg.depth and not _converged(system, cfg, prof.increments, chat):
-        prof = _padic_walk(system, coords, p, cfg, cfg.depth, r, chat)
-    return prof
 
 
 # -- public surface ---------------------------------------------------------------------
@@ -496,7 +482,7 @@ def canonical_height(
 
 
 def canonical_height_oracle_detailed(
-    system: PolarizedSystem, point: ProjPointQ, n: int, node_budget: int | None = None
+    system: PolarizedSystem, point: ProjPointQ, n: int
 ) -> OracleResult:
     """Word-iteration surrogate alpha^-n * sum over all k^n words of h(f_w(P)).
 
@@ -522,7 +508,7 @@ def canonical_height_oracle_detailed(
         return kids
 
     level = {point: 1}
-    for _m, _nodes, level in walk(point, children, system.k, n, resolve_budget(node_budget)):
+    for _m, _nodes, level in walk(point, children, system.k, n, resolve_budget(None)):
         pass
     # Each weight mult / alpha^n is at most 1 and correctly rounded, however
     # far word counts and alpha^n outgrow the float range.

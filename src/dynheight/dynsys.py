@@ -48,7 +48,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .errors import IndeterminatePointError, ValidationError
 from .exactnum import prime_factors
@@ -71,10 +71,6 @@ def _ccontent(c) -> int:
 
 def _clead(c) -> int:
     return c.lead if isinstance(c, TPoly) else c
-
-
-def _ceval_t(c, t0: Fraction):
-    return c.eval(t0) if isinstance(c, TPoly) else Fraction(c)
 
 
 class HomogPoly:
@@ -194,10 +190,6 @@ class HomogPoly:
             term = c if mono is None else c * mono
             acc = term if acc is None else acc + term
         return 0 if acc is None else acc
-
-    def specialize_t(self, t0: Fraction) -> dict[tuple[int, ...], Fraction]:
-        """Substitute t = t0; returns the (possibly zero) rational term map."""
-        return {e: _ceval_t(c, t0) for e, c in self.terms.items()}
 
     # -- rendering ---------------------------------------------------------------
 
@@ -399,16 +391,24 @@ class Morphism:
         return self._certificate
 
     def specialize(self, t0: Fraction) -> "Morphism":
-        """Substitute t = t0 and clear denominators to a canonical integer lift."""
+        """The canonical integer lift of the fiber at t = t0.
+
+        For t0 = a/b every coefficient c becomes the integer b^D * c(a/b)
+        (TPoly.hom), D the lift's largest t-degree; the canonical lift
+        divides b^D out with the rest of the content.
+        """
         t0 = Fraction(t0)
-        rational = [p.specialize_t(t0) for p in self.lift]
-        scale = lcm(*(c.denominator for terms in rational for c in terms.values()))
-        lift = []
-        for terms in rational:
-            lift.append(
-                HomogPoly(self.nvars, {e: int(c * scale) for e, c in terms.items()})
-            )
-        return Morphism(lift, normalize=True)
+        coeffs = [c for p in self.lift for c in p.terms.values()]
+        deg = max(c.degree if isinstance(c, TPoly) else 0 for c in coeffs)
+        scale = t0.denominator**deg
+        lift = [
+            HomogPoly(self.nvars, {
+                e: c.hom(t0, deg) if isinstance(c, TPoly) else c * scale
+                for e, c in p.terms.items()
+            })
+            for p in self.lift
+        ]
+        return Morphism(lift)
 
 
 def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:

@@ -4,7 +4,10 @@ A parametric system is a tuple of morphisms of P^1 whose lift coefficients
 live in Z[t].  The good locus is the complement of the zero set of
 R(t) = product of the t-resultants of the lifts: exactly at parameters with
 R(t0) != 0 does every map specialize to a genuine morphism, and there the
-fiber carries its own canonical height.
+fiber carries its own canonical height.  Fibers, sections and R are
+specialized in integers: for t0 = a/b a polynomial P of degree at most D
+gives b^D * P(a/b) (TPoly.hom), and the canonical lift or primitive point
+divides b^D out again.
 
 Three experiment harnesses compare those fiberwise heights with heights on
 the base:
@@ -114,8 +117,10 @@ class Section:
         return cls(normalize_ff([TPoly.const(c) for c in point.coords]))
 
     def specialize_at(self, t0: Fraction) -> ProjPointQ:
+        """The point at t = t0: b^D * P_i(a/b) for t0 = a/b, D the largest degree, normalized."""
         t0 = Fraction(t0)
-        vals = [p.eval(t0) for p in self.point.coords]
+        deg = max(p.degree for p in self.point.coords)
+        vals = [p.hom(t0, deg) for p in self.point.coords]
         if all(v == 0 for v in vals):
             raise BadParameterError(f"section degenerates at t={t0}")
         return normalize(vals)
@@ -127,7 +132,7 @@ class Section:
 def specialize(system: ParamSystem, t0: Fraction) -> PolarizedSystem:
     """Fiber of the family at t0; requires t0 in the good locus."""
     t0 = Fraction(t0)
-    if system.good_locus.eval(t0) == 0:
+    if system.good_locus.hom(t0, system.good_locus.degree) == 0:
         raise BadParameterError(f"t={t0} not in the good locus")
     return validate_system(m.specialize(t0) for m in system.maps)
 
@@ -333,7 +338,7 @@ def boundary_local_height(locus: TPoly, t0: Fraction, v: Place) -> float:
     t0 = Fraction(t0)
     a, b = t0.numerator, t0.denominator
     deg = locus.degree
-    r_hom = sum(c * a**i * b ** (deg - i) for i, c in enumerate(locus.c))
+    r_hom = locus.hom(t0, deg)
     if r_hom == 0:
         raise BadParameterError(f"t={t0} on boundary")
     if v.is_infinite:

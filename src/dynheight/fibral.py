@@ -42,7 +42,6 @@ __all__ = [
     "ComponentWeights",
     "ModelPoint",
     "SyntheticModel",
-    "SpectralEstimate",
     "VerificationReport",
     "is_perm_type",
     "row_sum_bounds",
@@ -101,45 +100,14 @@ def row_sum_bounds(rows) -> tuple[Fraction, Fraction]:
     return min(sums), max(sums)
 
 
-@dataclass
-class SpectralEstimate:
-    value: float
-    converged: bool
-    iterations: int
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def spectral_radius(rows, iters: int = 10000, tol: float = 1e-10) -> SpectralEstimate:
-    """Spectral radius of a nonnegative matrix by shifted power iteration.
-
-    Iterates M + tol*I from the all-ones vector and returns the growth of
-    the total mass minus tol.  The shift makes the chain aperiodic, so the
-    growth ratio converges for reducible and nilpotent inputs as well; a
-    run that fails the successive-difference test is flagged, not fatal.
-    """
+def spectral_radius(rows) -> float:
+    """Spectral radius of a nonnegative square matrix: the largest |eigenvalue|."""
     a = np.array(rows, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError("square matrix required")
     if np.any(a < 0):
         raise ValidationError("matrix must be nonnegative")
-    n = a.shape[0]
-    b = a + tol * np.eye(n)
-    x = np.ones(n)
-    est = float("nan")
-    prev = None
-    for it in range(1, iters + 1):
-        y = b @ x
-        total = float(y.sum())
-        est = total / float(x.sum())
-        if total == 0.0:
-            return SpectralEstimate(0.0, True, it)
-        x = y / np.max(y)
-        if prev is not None and abs(est - prev) < tol:
-            return SpectralEstimate(est - tol, True, it)
-        prev = est
-    return SpectralEstimate(est - tol, False, iters)
+    return float(np.max(np.abs(np.linalg.eigvals(a)), initial=0.0))
 
 
 @dataclass

@@ -3,9 +3,10 @@
 Polynomials are stored as coefficient tuples (c0, c1, ..., cd) with a
 nonzero leading coefficient; the empty tuple is the zero polynomial.  The
 class supports the exact operations the rest of the package needs: ring
-arithmetic, evaluation at rationals, content and primitive part, exact
-division, and gcd via the primitive pseudo-remainder sequence (which keeps
-coefficients in Z instead of letting Euclid blow them up over Q).
+arithmetic, homogenized evaluation at rationals (an integer, no Fraction),
+content and primitive part, exact division, and gcd via the primitive
+pseudo-remainder sequence (which keeps coefficients in Z instead of letting
+Euclid blow them up over Q).
 
 Constants are units of Q(t), so normalizing a tuple of coordinates over
 Q(t) only ever removes a common *polynomial* factor; integer content is a
@@ -135,12 +136,14 @@ class TPoly:
 
     # -- evaluation, content, division ----------------------------------------
 
-    def eval(self, x):
-        """Horner evaluation; the result type follows x (int or Fraction)."""
-        acc = 0
-        for v in reversed(self.c):
-            acc = acc * x + v
-        return acc
+    def hom(self, t0, deg: int) -> int:
+        """b^deg * P(a/b) = sum_i c_i * a^i * b^(deg - i) for t0 = a/b in lowest terms.
+
+        t0 is an int or a Fraction and deg is at least the degree, so the
+        value is an integer, zero exactly when P(t0) is (b > 0).
+        """
+        a, b = t0.numerator, t0.denominator
+        return sum(c * a**i * b ** (deg - i) for i, c in enumerate(self.c))
 
     def content(self) -> int:
         """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""

@@ -260,7 +260,7 @@ def test_criterion_9_row_sum_property():
         mat = [[rng.uniform(0, 10) for _ in range(6)] for _ in range(6)]
         lo, hi = row_sum_bounds(mat)
         est = spectral_radius(mat)
-        bounds_ok &= float(lo) - 1e-6 <= est.value <= float(hi) + 1e-6
+        bounds_ok &= float(lo) - 1e-6 <= est <= float(hi) + 1e-6
     perm_ok = True
     solve_ok = True
     for _ in range(100):
@@ -271,7 +271,7 @@ def test_criterion_9_row_sum_property():
         total = [
             [sum(a.as_matrix()[i][j] for a in acts) for j in range(n)] for i in range(n)
         ]
-        perm_ok &= spectral_radius(total).value <= k + 1e-6
+        perm_ok &= spectral_radius(total) <= k + 1e-6
         alpha = Fraction(k) + Fraction(rng.randint(1, 2 * n * k), 2)  # covers (k, nk]
         c = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
         w = solve_weights(alpha, acts, c)

@@ -128,33 +128,6 @@ def test_padic_green_matches_bruteforce_oracle():
             assert prof.exact == expected, (p, coords)
 
 
-def test_adaptive_padic_reruns_when_horizon_falls_short(monkeypatch):
-    # Make the horizon search stop at m* = 1: the walk to D = 2 cannot meet
-    # the stop rule, so it must rerun against the depth cap and still give
-    # the value of an unhindered walk.
-    cfg = GreenConfig(depth=60, target_eps=1e-3, mode="adaptive")
-    expected = green_profile(SBAD, (5, 7), Place(3), cfg)
-    real_tail, real_walk = canonical.geom_tail, canonical._padic_walk
-    tails, horizons = [], []
-
-    def short_first_tail(system, chat, m):
-        tails.append(m)
-        return 0.0 if len(tails) == 1 else real_tail(system, chat, m)
-
-    def spy_walk(system, coords, p, cfg, horizon, *rest):
-        horizons.append(horizon)
-        return real_walk(system, coords, p, cfg, horizon, *rest)
-
-    monkeypatch.setattr(canonical, "geom_tail", short_first_tail)
-    monkeypatch.setattr(canonical, "_padic_walk", spy_walk)
-    prof = green_profile(SBAD, (5, 7), Place(3), cfg)
-    assert horizons == [2, 60]
-    assert (prof.exact, prof.depth, prof.increments) == (
-        expected.exact, expected.depth, expected.increments,
-    )
-    assert prof.exact == _padic_green_bruteforce(SBAD, (5, 7), 3, prof.depth)
-
-
 _binary_forms = st.integers(1, 3).flatmap(
     lambda d: st.tuples(
         *[st.lists(st.integers(-4, 4), min_size=d + 1, max_size=d + 1) for _ in range(2)]
@@ -353,18 +326,66 @@ def test_pn_green_walks_once(monkeypatch):
     weighted = validate_system(
         [Morphism.from_strings(["X0^2", "X1^2", "2*X2^2"], dim=2, normalize=False)]
     )
-    real_walk = canonical._padic_walk
+    real_walk = canonical.walk
     calls = []
 
     def spy_walk(*args):
-        calls.append(args[4])
+        calls.append(args[3])
         return real_walk(*args)
 
-    monkeypatch.setattr(canonical, "_padic_walk", spy_walk)
+    monkeypatch.setattr(canonical, "walk", spy_walk)
     for cfg in (GreenConfig(depth=8), GreenConfig(depth=60, target_eps=1e-6, mode="adaptive")):
         calls.clear()
         prof = green_profile(weighted, (0, 0, 1), Place(2), cfg)
         assert len(calls) == 1 and prof.exact == -1 + Fraction(1, 2**prof.depth)
+
+
+_quadratic_binary_forms = st.tuples(
+    *[st.lists(st.integers(-4, 4), min_size=3, max_size=3) for _ in range(2)]
+)
+
+
+@given(
+    st.one_of(
+        st.tuples(st.just(1), st.lists(_quadratic_binary_forms, min_size=1, max_size=2)),
+        st.tuples(st.just(2), st.lists(_pn_lift(3, 2, coeffs=2), min_size=1, max_size=2)),
+    ),
+    st.tuples(*[st.integers(-9, 9)] * 3),
+    st.integers(-4, -1),
+    st.integers(1, 16),
+)
+@settings(max_examples=60, deadline=None)
+def test_adaptive_padic_walk_stops_by_m_star_plus_one(drawn, coords, log_eps, depth):
+    # The certificates bound every increment, so an adaptive finite-place
+    # walk meets its stop rule by m* + 1 (m* the first level whose certified
+    # tail is below eps) or reaches the depth cap, and walks once.  Quadratic
+    # maps keep alpha = 2k, so many draws stop before the cap.
+    dim, lifts = drawn
+    coords = coords[: dim + 1]
+    assume(any(coords))
+    try:
+        if dim == 1:
+            system = validate_system([_binary_morphism(rows) for rows in lifts])
+        else:
+            system = validate_system([Morphism(lift) for lift in lifts])
+    except ValidationError:
+        assume(False)               # a zero lift or a non-morphism
+    eps = 10.0**log_eps
+    cfg = GreenConfig(depth=depth, target_eps=eps, mode="adaptive", node_budget=2**12)
+    for p in system.bad_primes() if dim == 1 else (2, 3):
+        try:
+            prof = green_profile(system, coords, Place(p), cfg)
+        except BudgetExceededError:
+            continue
+        if system.k**prof.depth <= 2**12:          # a small brute-force word tree
+            assert prof.exact == _padic_green_bruteforce(system, coords, p, prof.depth)
+        if prof.chat == 0.0:        # good reduction: the initial content only
+            assert prof.depth == 0
+            continue
+        tails = (canonical.geom_tail(system, prof.chat, m) for m in range(1, depth))
+        m_star = next((m for m, tail in enumerate(tails, 1) if tail < eps), depth)
+        assert prof.depth <= min(depth, m_star + 1)
+        assert prof.depth == depth or canonical._converged(system, cfg, prof.increments, prof.chat)
 
 
 def test_higher_dimension_green_and_oracle():
@@ -803,15 +824,17 @@ def test_padic_budget_counts_distinct_states():
         assert (prof.depth, prof.nodes, prof.exact) == (depth, nodes, exact)
 
 
-def test_budget_exceeded():
+def test_budget_exceeded(monkeypatch):
     with pytest.raises(BudgetExceededError, match="budget exceeded"):
         green_local(MONOMIAL, (2, 1), INFINITY, GreenConfig(depth=30, node_budget=1000))
     # sbad's orbit images never coincide, so every word is a distinct state
+    monkeypatch.setenv("DYNHEIGHT_NODE_BUDGET", "1000")
     with pytest.raises(BudgetExceededError, match="depth 9 needs 1022 nodes > 1000"):
-        canonical_height_oracle_detailed(SBAD, parse_point("5:7"), 30, node_budget=1000)
+        canonical_height_oracle_detailed(SBAD, parse_point("5:7"), 30)
     # A budget of 0 is a budget, not "unset".
+    monkeypatch.setenv("DYNHEIGHT_NODE_BUDGET", "0")
     with pytest.raises(BudgetExceededError):
-        canonical_height_oracle_detailed(MONOMIAL, parse_point("2:1"), 1, node_budget=0)
+        canonical_height_oracle_detailed(MONOMIAL, parse_point("2:1"), 1)
 
 
 def test_fixed_padic_walk_fails_before_building_residues():

@@ -1,14 +1,17 @@
 """Families over Q(t): specialization, ff heights, and the three sweeps."""
 
+import functools
 import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dynheight.canonical import GreenConfig, canonical_height
-from dynheight.dynsys import Morphism
+from dynheight.dynsys import HomogPoly, Morphism
 from dynheight.errors import BadParameterError, ValidationError
-from dynheight.exactnum import INFINITY, Place
+from dynheight.exactnum import INFINITY, Place, clear_denominators
 from dynheight.family import (
     ParamSystem,
     Section,
@@ -21,8 +24,8 @@ from dynheight.family import (
     specialize,
     variation_sweep,
 )
-from dynheight.polynomial import parse_tpoly
-from dynheight.projective import ff_height, parse_point
+from dynheight.polynomial import TPoly, parse_tpoly
+from dynheight.projective import ff_height, normalize, normalize_ff, parse_point
 
 ADAPTIVE = GreenConfig(depth=40, mode="adaptive", target_eps=1e-9)
 
@@ -35,6 +38,11 @@ X2PT = fam(["X0^2+t*X1^2", "X1^2"])
 TY2 = fam(["X0^2", "t*X1^2"])
 CONST_MONOMIAL = fam(["X0^2", "X1^2"], ["X0^3", "X1^3"])
 ZERO_SEC = Section.from_strings(["0", "1"])
+
+
+def _horner(poly, t0):
+    """P(t0) by Horner's rule, in the type of t0."""
+    return functools.reduce(lambda acc, c: acc * t0 + c, reversed(poly.c), 0)
 
 
 def test_param_system_invariants():
@@ -66,10 +74,69 @@ def test_specialized_bad_primes_divide_good_locus_value():
     # bad primes of the fiber divide R(t0) times the denominator-clearing scale
     for t0 in (Fraction(6), Fraction(10), Fraction(3, 2)):
         fiber = specialize(TY2, t0)
-        r_val = TY2.good_locus.eval(t0)
+        r_val = _horner(TY2.good_locus, t0)
         bound = r_val.numerator * r_val.denominator
         for p in fiber.bad_primes():
             assert bound % p == 0
+
+
+def _fraction_route_fiber(mp, t0):
+    """The fiber lift by Fractions: each coefficient at t0, clear_denominators, the canonical lift."""
+    keys = [(i, e) for i, form in enumerate(mp.lift) for e in form.terms]
+    vals = [mp.lift[i].terms[e] for i, e in keys]
+    ints = clear_denominators(_horner(c, t0) if isinstance(c, TPoly) else c for c in vals)
+    forms = [{} for _ in mp.lift]
+    for (i, e), v in zip(keys, ints):
+        forms[i][e] = v
+    return Morphism([HomogPoly(mp.nvars, terms) for terms in forms])
+
+
+_tpolys = st.lists(st.integers(-3, 3), max_size=3).map(TPoly)
+
+
+@st.composite
+def _parametric_lifts(draw):
+    d = draw(st.integers(1, 2))
+    return [HomogPoly(2, {(d - i, i): draw(_tpolys) for i in range(d + 1)}) for _ in range(2)]
+
+
+@given(
+    _parametric_lifts(),
+    st.tuples(_tpolys, _tpolys),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+@example([HomogPoly(2, {(2, 0): 1, (0, 2): TPoly((0, 1))}), HomogPoly(2, {(0, 2): 1})],
+         (TPoly((0, 1)), TPoly((1,))), Fraction(1, 2))
+@settings(max_examples=80, deadline=None)
+def test_integer_specialization_matches_fraction_route(lift, coords, drawn):
+    # Fibers, sections and the good-locus test in integers (b^D * c(a/b))
+    # give what Fraction evaluation and clearing denominators gave.
+    try:
+        mp = Morphism(lift)
+        family = ParamSystem.build([mp])
+    except ValidationError:
+        assume(False)               # a zero lift or a zero t-resultant
+    assume(any(not c.is_zero for c in coords))
+    section = Section(normalize_ff(list(coords)))
+    for t0 in (drawn, Fraction(0), Fraction(-3), Fraction(-7, 2), Fraction(5, 3)):
+        try:
+            expected = _fraction_route_fiber(mp, t0)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=re.escape(str(exc))):
+                mp.specialize(t0)
+        else:
+            assert mp.specialize(t0).lift == expected.lift
+        if _horner(family.good_locus, t0) == 0:
+            with pytest.raises(BadParameterError, match="not in the good locus"):
+                specialize(family, t0)
+        else:
+            assert specialize(family, t0).maps == (expected,)
+        vals = [_horner(c, t0) for c in section.point.coords]
+        if not any(vals):
+            with pytest.raises(BadParameterError, match="degenerates"):
+                section.specialize_at(t0)
+        else:
+            assert section.specialize_at(t0) == normalize(vals)
 
 
 def test_section_specialization():

@@ -45,10 +45,10 @@ def test_row_sum_bounds_examples():
 
 
 def test_spectral_radius_examples():
-    assert spectral_radius([[1, 1], [1, 1]]).value == pytest.approx(2.0, abs=1e-9)
-    assert spectral_radius([[1, 0], [0, 1]]).value == pytest.approx(1.0, abs=1e-9)
-    est = spectral_radius([[0, 1], [0, 0]], tol=1e-9)
-    assert abs(est.value) <= 1e-9
+    assert spectral_radius([[1, 1], [1, 1]]) == pytest.approx(2.0, abs=1e-9)
+    assert spectral_radius([[1, 0], [0, 1]]) == pytest.approx(1.0, abs=1e-9)
+    est = spectral_radius([[0, 1], [0, 0]])
+    assert abs(est) <= 1e-9
 
 
 def test_spectral_radius_row_sum_theorem():
@@ -58,7 +58,7 @@ def test_spectral_radius_row_sum_theorem():
         mat = [[rng.uniform(0, 10) for _ in range(n)] for _ in range(n)]
         lo, hi = row_sum_bounds(mat)
         est = spectral_radius(mat)
-        assert float(lo) - 1e-6 <= est.value <= float(hi) + 1e-6
+        assert float(lo) - 1e-6 <= est <= float(hi) + 1e-6
 
 
 def test_perm_type_sums_have_radius_at_most_k():
@@ -71,7 +71,7 @@ def test_perm_type_sums_have_radius_at_most_k():
         # every row sum equal to k, which pins the spectral radius
         transpose = [[total[i][j] for i in range(n)] for j in range(n)]
         assert row_sum_bounds(transpose) == (k, k)
-        assert spectral_radius(total).value <= k + 1e-6
+        assert spectral_radius(total) <= k + 1e-6
 
 
 def test_solve_weights_examples():

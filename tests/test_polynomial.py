@@ -127,9 +127,11 @@ def test_one_grammar_rejects_malformed(text, tmp_path, capsys):
 
 
 def test_eval_exact():
+    # b^deg * P(a/b) at t0 = a/b: P(1/2) = 3/4 and P(3) = 12
     p = parse_tpoly("t^2 + t")
-    assert p.eval(Fraction(1, 2)) == Fraction(3, 4)
-    assert p.eval(3) == 12
+    assert Fraction(p.hom(Fraction(1, 2), 2), 2**2) == Fraction(3, 4)
+    assert p.hom(3, 2) == 12
+    assert p.hom(Fraction(-1, 2), 3) == -2 and TPoly().hom(Fraction(1, 2), 1) == 0
 
 
 def test_divexact_and_gcd():
@@ -228,7 +230,7 @@ def test_det_tpoly_sylvester_values(source, expected):
     res = mp.resultant()
     assert isinstance(res, TPoly) and res == parse_tpoly(expected)
     fiber = mp.specialize(Fraction(3)).resultant()
-    assert type(fiber) is int and fiber == res.eval(Fraction(3))
+    assert type(fiber) is int and fiber == res.hom(3, res.degree)
 
 
 def test_det_tpoly():
