@@ -70,8 +70,7 @@ from .fibral import (
 )
 from .polynomial import TPoly, parse_tpoly
 from .projective import (
-    ProjPointFF,
-    ProjPointQ,
+    ProjPoint,
     ff_height,
     local_height_hyperplane,
     normalize,

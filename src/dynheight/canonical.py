@@ -77,7 +77,7 @@ from .errors import (
 )
 from .exactnum import INFINITY, Place, log_abs, ord_p
 from .dynsys import PolarizedSystem, commutes
-from .projective import ProjPointQ, weil_height
+from .projective import ProjPoint, weil_height
 
 __all__ = [
     "GreenConfig",
@@ -452,7 +452,7 @@ def green_local(system: PolarizedSystem, lift_coords, v: Place, cfg: GreenConfig
 
 
 def canonical_height(
-    system: PolarizedSystem, point: ProjPointQ, cfg: GreenConfig | None = None
+    system: PolarizedSystem, point: ProjPoint, cfg: GreenConfig | None = None
 ) -> CanonicalHeightResult:
     """Canonical height by local decomposition over Infinity and bad primes.
 
@@ -482,7 +482,7 @@ def canonical_height(
 
 
 def canonical_height_oracle_detailed(
-    system: PolarizedSystem, point: ProjPointQ, n: int
+    system: PolarizedSystem, point: ProjPoint, n: int
 ) -> OracleResult:
     """Word-iteration surrogate alpha^-n * sum over all k^n words of h(f_w(P)).
 
@@ -500,7 +500,7 @@ def canonical_height_oracle_detailed(
     naive = functools.cache(weil_height)
     c_measured = 0.0
 
-    def children(pt: ProjPointQ) -> list[ProjPointQ]:
+    def children(pt: ProjPoint) -> list[ProjPoint]:
         nonlocal c_measured
         kids = [mp.apply(pt) for mp in system.maps]
         resid = abs(math.fsum(naive(q) for q in kids) - alpha * naive(pt))
@@ -520,7 +520,7 @@ def canonical_height_oracle_detailed(
 
 def canonical_local_height(
     system: PolarizedSystem,
-    point: ProjPointQ,
+    point: ProjPoint,
     j: int,
     v: Place,
     cfg: GreenConfig | None = None,
@@ -541,7 +541,7 @@ def canonical_local_height(
 
 
 def functional_eq_residual(
-    system: PolarizedSystem, point: ProjPointQ, cfg: GreenConfig | None = None
+    system: PolarizedSystem, point: ProjPoint, cfg: GreenConfig | None = None
 ) -> float:
     """| sum_i h^(F_i P) - alpha * h^(P) | at the configured depth."""
     cfg = cfg or GreenConfig()
@@ -596,7 +596,7 @@ def height_equality_report(
 
 
 def forward_orbit(
-    system: PolarizedSystem, point: ProjPointQ, max_points: int = 10**4
+    system: PolarizedSystem, point: ProjPoint, max_points: int = 10**4
 ) -> tuple[set[tuple[int, ...]], bool]:
     """Breadth-first forward orbit under all maps; closed=False on budget."""
     seen = {point.coords}

@@ -2,10 +2,11 @@
 
 A morphism is stored as a lift: N+1 homogeneous polynomials of a common
 degree d with integer coefficients (or Z[t] coefficients for families).
-Lifts are canonicalized to integer content 1 with the first nonzero
-coefficient of the first coordinate positive, which makes Green values and
-bad-prime sets deterministic functions of the system; pass normalize=False
-to keep a deliberately rescaled lift.
+Lifts are canonicalized by polynomial.content_unit, the rule points use
+too: integer content 1 and the first coefficient (in term order) with a
+positive leading coefficient, which makes Green values and bad-prime sets
+deterministic functions of the system; pass normalize=False to keep a
+deliberately rescaled lift.
 
 A polarized system is a tuple of k such morphisms on the same P^N.  Its
 weight is alpha = sum of the degrees, and alpha > k is required throughout:
@@ -53,8 +54,8 @@ from math import gcd, prod
 from .errors import IndeterminatePointError, ValidationError
 from .exactnum import prime_factors
 from .linalg import solve_scaled
-from .polynomial import TPoly, parse_terms
-from .projective import ProjPointFF, ProjPointQ, normalize, normalize_ff
+from .polynomial import TPoly, content_unit, parse_terms
+from .projective import ProjPoint, normalize, normalize_ff
 
 __all__ = [
     "HomogPoly",
@@ -64,14 +65,6 @@ __all__ = [
     "commutes",
     "validate_system",
 ]
-
-def _ccontent(c) -> int:
-    return c.content() if isinstance(c, TPoly) else abs(c)
-
-
-def _clead(c) -> int:
-    return c.lead if isinstance(c, TPoly) else c
-
 
 class HomogPoly:
     """Homogeneous polynomial in X0..XN, coefficients in Z or Z[t].
@@ -116,15 +109,10 @@ class HomogPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomogPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self._key() == other._key()
+        return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nvars, self._key()))
-
-    def _key(self):
-        return tuple(
-            (e, c.c if isinstance(c, TPoly) else c) for e, c in self.terms.items()
-        )
+        return hash((self.nvars, tuple(self.terms.items())))
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -292,7 +280,7 @@ class Morphism:
         """
         return tuple(p.eval(coords) for p in self.lift)
 
-    def apply(self, point: ProjPointQ) -> ProjPointQ:
+    def apply(self, point: ProjPoint) -> ProjPoint:
         """Evaluate on primitive coordinates and renormalize; exact.
 
         The content of F(x) divides D = resultant() (see the module
@@ -308,7 +296,7 @@ class Morphism:
             raise IndeterminatePointError("indeterminate point")
         return normalize(vals, self.resultant())
 
-    def apply_ff(self, point: ProjPointFF) -> ProjPointFF:
+    def apply_ff(self, point: ProjPoint) -> ProjPoint:
         """Evaluate on Q(t)-coordinates and renormalize to a coprime tuple.
 
         As apply, in Z[t]: the polynomial gcd starts from D and is skipped
@@ -440,22 +428,11 @@ def _macaulay_layout(nvars: int, d: int) -> tuple:
 
 
 def _canonical_lift(lift: tuple) -> tuple:
-    """Remove integer content; make the first nonzero coefficient positive."""
-    g = 0
-    for p in lift:
-        for c in p.terms.values():
-            g = gcd(g, _ccontent(c))
-    if g == 0:
-        raise ValidationError("lift is identically zero")
-    first = next(c for p in lift for c in p.terms.values())
-    sign = 1 if _clead(first) > 0 else -1
-    s = g * sign
-    if s == 1:
-        return tuple(lift)
-    out = []
-    for p in lift:
-        out.append(HomogPoly(p.nvars, {e: c // g * sign for e, c in p.terms.items()}))
-    return tuple(out)
+    """Divide the lift by content_unit of its coefficients, in term order."""
+    unit = content_unit([c for p in lift for c in p.terms.values()])
+    if unit == 1:
+        return lift
+    return tuple(HomogPoly(p.nvars, {e: c // unit for e, c in p.terms.items()}) for p in lift)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,9 @@ the base:
   hyperplane local height, row by row against a local height of the bad
   locus on the base.
 
+All three walk the fibers through one loop (_fibers), which reports the
+parameters outside the good locus and the degenerate sections as skipped.
+
 Sweep tables render to CSV with the fixed column header t,h_T,point,value,aux
 and 12 significant digits.
 """
@@ -47,8 +50,7 @@ from .errors import (
 from .exactnum import Place, ord_p
 from .polynomial import TPoly, parse_tpoly
 from .projective import (
-    ProjPointFF,
-    ProjPointQ,
+    ProjPoint,
     ff_height,
     local_height_hyperplane,
     normalize,
@@ -106,17 +108,17 @@ class ParamSystem:
 class Section:
     """A point of P^1 over Q(t): a family of points, one per good parameter."""
 
-    point: ProjPointFF
+    point: ProjPoint
 
     @classmethod
     def from_strings(cls, polys) -> "Section":
         return cls(normalize_ff([parse_tpoly(s) for s in polys]))
 
     @classmethod
-    def constant(cls, point: ProjPointQ) -> "Section":
-        return cls(normalize_ff([TPoly.const(c) for c in point.coords]))
+    def constant(cls, point: ProjPoint) -> "Section":
+        return cls(normalize_ff(point.coords))
 
-    def specialize_at(self, t0: Fraction) -> ProjPointQ:
+    def specialize_at(self, t0: Fraction) -> ProjPoint:
         """The point at t = t0: b^D * P_i(a/b) for t0 = a/b, D the largest degree, normalized."""
         t0 = Fraction(t0)
         deg = max(p.degree for p in self.point.coords)
@@ -157,7 +159,7 @@ def ff_canonical_height(system: ParamSystem, section: Section, n: int) -> FFHeig
     if n < 0:
         raise ValidationError("depth must be nonnegative")
 
-    def children(point: ProjPointFF) -> list[ProjPointFF]:
+    def children(point: ProjPoint) -> list[ProjPoint]:
         return [mp.apply_ff(point) for mp in system.maps]
 
     value = prev = Fraction(ff_height(section.point))
@@ -248,6 +250,28 @@ def _split_rows(rows: list[SweepRow]) -> tuple[list[SweepRow], list[SweepRow]]:
     return order[0::2], order[1::2]
 
 
+def _fibers(system: ParamSystem, sections, t_samples, skipped: list):
+    """Yield (t0, fiber, x_t) for each parameter and each section, in order.
+
+    A t0 outside the good locus, or a section degenerating at t0, is
+    appended to skipped as (t0, reason) instead.
+    """
+    for t0 in t_samples:
+        t0 = Fraction(t0)
+        try:
+            fiber = specialize(system, t0)
+        except BadParameterError as exc:
+            skipped.append((t0, str(exc)))
+            continue
+        for section in sections:
+            try:
+                x_t = section.specialize_at(t0)
+            except BadParameterError as exc:
+                skipped.append((t0, str(exc)))
+                continue
+            yield t0, fiber, x_t
+
+
 def variation_sweep(
     system: ParamSystem,
     sections: list[Section],
@@ -264,22 +288,10 @@ def variation_sweep(
     cfg = cfg or GreenConfig()
     rows: list[SweepRow] = []
     skipped: list[tuple[Fraction, str]] = []
-    for t0 in t_samples:
-        t0 = Fraction(t0)
-        try:
-            fiber = specialize(system, t0)
-        except BadParameterError as exc:
-            skipped.append((t0, str(exc)))
-            continue
-        for section in sections:
-            try:
-                x_t = section.specialize_at(t0)
-            except BadParameterError as exc:
-                skipped.append((t0, str(exc)))
-                continue
-            height = canonical_height(fiber, x_t, cfg)
-            diff = abs(height.value - weil_height(x_t))
-            rows.append(SweepRow(t0, base_height(t0), str(x_t), diff, height.value))
+    for t0, fiber, x_t in _fibers(system, sections, t_samples, skipped):
+        height = canonical_height(fiber, x_t, cfg)
+        diff = abs(height.value - weil_height(x_t))
+        rows.append(SweepRow(t0, base_height(t0), str(x_t), diff, height.value))
     train, holdout = _split_rows(rows)
     c1, c2 = _fit_envelope(train)
     violations = [r for r in holdout if r.value > c1 * r.h_t + c2 + 1e-9]
@@ -309,17 +321,10 @@ def limit_ratio(
     ff_val = ff_canonical_height(system, section, ff_depth).value
     rows: list[SweepRow] = []
     skipped: list[tuple[Fraction, str]] = []
-    for t0 in t_sequence:
-        t0 = Fraction(t0)
+    for t0, fiber, x_t in _fibers(system, [section], t_sequence, skipped):
         h_t = base_height(t0)
         if h_t <= 0:
             skipped.append((t0, "h_T(t) = 0"))
-            continue
-        try:
-            fiber = specialize(system, t0)
-            x_t = section.specialize_at(t0)
-        except BadParameterError as exc:
-            skipped.append((t0, str(exc)))
             continue
         ratio = canonical_height(fiber, x_t, cfg).value / h_t
         rows.append(SweepRow(t0, h_t, str(x_t), ratio, abs(ratio - float(ff_val))))
@@ -371,14 +376,11 @@ def local_variation_sweep(
     cfg = cfg or GreenConfig()
     rows: list[SweepRow] = []
     skipped: list[tuple[Fraction, str]] = []
-    for t0 in t_samples:
-        t0 = Fraction(t0)
+    for t0, fiber, x_t in _fibers(system, [section], t_samples, skipped):
         try:
-            fiber = specialize(system, t0)
-            x_t = section.specialize_at(t0)
             lam_hat = canonical_local_height(fiber, x_t, j, v, cfg)
             lam = local_height_hyperplane(x_t, j, v)
-        except (BadParameterError, PointOnDivisorError) as exc:
+        except PointOnDivisorError as exc:
             skipped.append((t0, str(exc)))
             continue
         boundary = boundary_local_height(system.good_locus, t0, v)

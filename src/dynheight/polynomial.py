@@ -9,8 +9,12 @@ pseudo-remainder sequence (which keeps coefficients in Z instead of letting
 Euclid blow them up over Q).
 
 Constants are units of Q(t), so normalizing a tuple of coordinates over
-Q(t) only ever removes a common *polynomial* factor; integer content is a
-separate, purely cosmetic normalization handled by callers.
+Q(t) only ever removes a common *polynomial* factor.  The integer content
+and the sign are fixed by one rule for every tuple over Z or Z[t], lifts
+and points alike: content_unit gives the unit to divide by.
+
+A constant TPoly equals its int and hashes like it (the zero polynomial
+like 0), so dicts and tuples holding either kind compare and hash alike.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import re
 
 from .errors import ValidationError
 
-__all__ = ["TPoly", "parse_terms", "parse_tpoly"]
+__all__ = ["TPoly", "content_unit", "parse_terms", "parse_tpoly"]
 
 
 class TPoly:
@@ -74,7 +78,8 @@ class TPoly:
         return other is not None and self.c == other.c
 
     def __hash__(self) -> int:
-        return hash(("TPoly", self.c))
+        # A constant equals its int, so it hashes like it (zero like 0).
+        return hash(self.c) if len(self.c) > 1 else hash(self.lead)
 
     # -- ring arithmetic ---------------------------------------------------------
 
@@ -147,10 +152,7 @@ class TPoly:
 
     def content(self) -> int:
         """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for v in self.c:
-            g = math.gcd(g, v)
-        return g
+        return math.gcd(*self.c)
 
     def primitive(self) -> "TPoly":
         """Divide out the content; the zero polynomial stays zero."""
@@ -233,6 +235,26 @@ class TPoly:
 
     def __repr__(self) -> str:
         return f"TPoly({self.c!r})"
+
+
+def content_unit(values, bound=0) -> int:
+    """The unit g*s that a tuple of ints or TPolys is divided by to be canonical.
+
+    g is the gcd of the contents of bound and of the values (|v| for an
+    int, the coefficient gcd for a TPoly) and s is the sign of the leading
+    coefficient of the first nonzero value, so the quotient has content 1
+    and a positive first leading coefficient.  bound is a known multiple of
+    the values' content (0 when unknown); the gcd stops once it reaches 1.
+    values is a sequence with a nonzero entry.
+    """
+    g = math.gcd(*bound.c) if isinstance(bound, TPoly) else abs(bound)
+    for v in values:
+        if g == 1:
+            break
+        g = math.gcd(g, *v.c) if isinstance(v, TPoly) else math.gcd(g, v)
+    first = next(v for v in values if v)
+    lead = first.lead if isinstance(first, TPoly) else first
+    return -g if lead < 0 else g
 
 
 def _coerce(v) -> TPoly | None:

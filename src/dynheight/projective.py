@@ -1,6 +1,8 @@
 """Primitive projective points over Q and Q(t), and their naive heights.
 
-A point of P^N(Q) is stored by its unique primitive integer representative:
+One class, ProjPoint, holds both kinds by their canonical coordinates, and
+one rule (polynomial.content_unit) fixes their content and sign.  A point
+of P^N(Q) is stored by its unique primitive integer representative:
 coprime coordinates with the first nonzero one positive.  The naive Weil
 height is ln of the sup norm of that representative; the standard local
 height against the coordinate hyperplane {x_j = 0} is
@@ -11,9 +13,10 @@ which is nonnegative at every place and sums to the Weil height over the
 archimedean place plus the primes dividing the coordinates.
 
 Points over Q(t) are tuples of integer polynomials in t with no common
-nonconstant factor; constants are units of Q(t), so integer content is
-only removed for a deterministic representative.  Their height is the
-maximum coordinate degree.
+nonconstant factor; constants are units of Q(t), so integer content and
+sign are only fixed for a deterministic representative, by the same rule
+with the first nonzero coordinate's leading coefficient positive.  Their
+height is the maximum coordinate degree.
 """
 
 from __future__ import annotations
@@ -21,15 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import PointOnDivisorError, ValidationError
 from .exactnum import Place, clear_denominators, ord_p
-from .polynomial import TPoly
+from .polynomial import TPoly, content_unit
 
 __all__ = [
-    "ProjPointQ",
-    "ProjPointFF",
+    "ProjPoint",
     "normalize",
     "normalize_ff",
     "parse_coords",
@@ -41,19 +42,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ProjPointQ:
-    """Primitive integer representative of a point of P^N(Q).
+class ProjPoint:
+    """Canonical representative of a point of P^N over Q or Q(t).
 
-    Build it with normalize, never directly: Morphism.apply divides an image
-    by a gcd with the resultant, which is the content only for primitive
-    input (a test checks that nothing else in the package constructs it).
+    coords are coprime ints (over Q) or coprime TPolys (over Q(t)), with
+    content 1 and a positive first leading coefficient.  Build it with
+    normalize or normalize_ff, never directly: Morphism.apply and apply_ff
+    bound an image's common factor by the resultant, which holds only for
+    such input (a test checks that nothing else in the package constructs
+    it).
     """
 
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coords or all(c == 0 for c in self.coords):
-            raise ValidationError("not a projective point")
+    coords: tuple
 
     @property
     def dim(self) -> int:
@@ -63,48 +63,22 @@ class ProjPointQ:
         return ":".join(str(c) for c in self.coords)
 
 
-@dataclass(frozen=True)
-class ProjPointFF:
-    """Point of P^N over Q(t): coprime integer polynomial coordinates.
-
-    Build it with normalize_ff, never directly: Morphism.apply_ff bounds the
-    common factor of an image by the resultant, which holds only for coprime
-    input with content 1 (a test checks that nothing else in the package
-    constructs it).
-    """
-
-    coords: tuple[TPoly, ...]
-
-    def __post_init__(self):
-        if not self.coords or all(c.is_zero for c in self.coords):
-            raise ValidationError("not a projective point")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords) - 1
-
-    def __str__(self) -> str:
-        return ":".join(str(c) for c in self.coords)
-
-
-def normalize(raw, bound: int = 0) -> ProjPointQ:
+def normalize(raw, bound: int = 0) -> ProjPoint:
     """Canonical primitive representative of a tuple of rationals.
 
-    Clears denominators, divides by the coordinate gcd and fixes the sign of
-    the first nonzero coordinate to be positive.  bound is a known multiple
-    of that gcd (Morphism.apply passes the resultant), so the gcd is
-    gcd(bound, *coords), which reduces the huge coordinates modulo a small
-    bound; 0 means unknown and gives the full gcd.
+    Clears denominators, then divides by content_unit: the coordinate gcd
+    with the sign of the first nonzero coordinate.  bound is a known
+    multiple of that gcd (Morphism.apply passes the resultant), so the gcd
+    is gcd(bound, *coords), which reduces the huge coordinates modulo a
+    small bound; 0 means unknown and gives the full gcd.
     """
     ints = clear_denominators(raw)
     if not any(ints):
         raise ValidationError("not a projective point")
-    g = gcd(bound, *ints)
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v != 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return ProjPointQ(tuple(ints))
+    unit = content_unit(ints, bound)
+    if unit != 1:
+        ints = [v // unit for v in ints]
+    return ProjPoint(tuple(ints))
 
 
 def parse_coords(text: str) -> list[Fraction]:
@@ -118,17 +92,17 @@ def parse_coords(text: str) -> list[Fraction]:
         raise ValidationError(f"cannot parse point {text!r}: {exc}") from exc
 
 
-def parse_point(text: str) -> ProjPointQ:
+def parse_point(text: str) -> ProjPoint:
     """Parse "a0 : a1 : ... : aN" to the point's primitive representative."""
     return normalize(parse_coords(text))
 
 
-def weil_height(point: ProjPointQ) -> float:
+def weil_height(point: ProjPoint) -> float:
     """Naive logarithmic height: ln max_i |x_i| on primitive coordinates."""
     return math.log(max(abs(c) for c in point.coords))
 
 
-def local_height_hyperplane(point: ProjPointQ, j: int, v: Place) -> float:
+def local_height_hyperplane(point: ProjPoint, j: int, v: Place) -> float:
     """Standard local height of P against the hyperplane {x_j = 0} at v."""
     coords = point.coords
     if not 0 <= j < len(coords):
@@ -142,16 +116,16 @@ def local_height_hyperplane(point: ProjPointQ, j: int, v: Place) -> float:
     return (ord_p(coords[j], p) - min_ord) * math.log(p)
 
 
-def normalize_ff(raw, bound: int | TPoly = 0) -> ProjPointFF:
-    """Canonical representative over Q(t).
+def normalize_ff(raw, bound: int | TPoly = 0) -> ProjPoint:
+    """Canonical representative over Q(t) of a tuple of ints or TPolys.
 
     Removes the common polynomial factor of the coordinates (coprimality in
-    Q(t)), then integer content and the sign of the first nonzero leading
-    coefficient for determinism.  bound is a known multiple in Z[t] of the
-    coordinates' gcd (Morphism.apply_ff passes the resultant): the
-    polynomial gcd starts from its primitive part, so a nonzero constant
-    bound skips it, and the integer content is a gcd with its content.  0
-    means unknown and gives the full gcds.
+    Q(t)), then divides by content_unit: the integer content with the sign
+    of the first nonzero leading coefficient, for determinism.  bound is a
+    known multiple in Z[t] of the coordinates' gcd (Morphism.apply_ff
+    passes the resultant): the polynomial gcd starts from its primitive
+    part, so a nonzero constant bound skips it, and the integer content is
+    a gcd with its content.  0 means unknown and gives the full gcds.
     """
     polys = [p if isinstance(p, TPoly) else TPoly.const(p) for p in raw]
     if not polys or all(p.is_zero for p in polys):
@@ -164,15 +138,12 @@ def normalize_ff(raw, bound: int | TPoly = 0) -> ProjPointFF:
         g = g.gcd(p) if not g.is_zero else p.primitive()
     if g.degree > 0:
         polys = [p // g for p in polys]
-    content = gcd(bound.content(), *(v for p in polys for v in p.c))
-    if content > 1:
-        polys = [p // content for p in polys]
-    first = next(p for p in polys if not p.is_zero)
-    if first.lead < 0:
-        polys = [-p for p in polys]
-    return ProjPointFF(tuple(polys))
+    unit = content_unit(polys, bound)
+    if unit != 1:
+        polys = [p // unit for p in polys]
+    return ProjPoint(tuple(polys))
 
 
-def ff_height(point: ProjPointFF) -> int:
+def ff_height(point: ProjPoint) -> int:
     """Function-field height: maximum coordinate degree on a coprime tuple."""
     return max(p.degree for p in point.coords if not p.is_zero)

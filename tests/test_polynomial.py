@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from dynheight import dynsys
 from dynheight.cli import load_system_file, main
-from dynheight.dynsys import Morphism, parse_homog
+from dynheight.dynsys import HomogPoly, Morphism, parse_homog
 from dynheight.errors import ValidationError
 from dynheight.linalg import solve_exact, solve_scaled
 from dynheight.polynomial import TPoly, parse_tpoly
@@ -365,3 +365,25 @@ def test_solve_residual_zero(a, b):
     if x is not None:
         for row, rhs in zip(a, b):
             assert sum(r * v for r, v in zip(row, x)) == rhs
+
+
+ints_and_tpolys = st.one_of(st.integers(-3, 3), st.lists(st.integers(-3, 3), max_size=3).map(TPoly))
+
+
+@given(ints_and_tpolys, ints_and_tpolys)
+def test_equal_values_hash_alike(a, b):
+    # A constant TPoly equals its int (the zero polynomial equals 0), so dicts
+    # and sets must not tell them apart.
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_int_and_constant_tpoly_coefficients_are_one_lift():
+    terms = {(2, 0): 3, (1, 1): -1, (0, 2): 0}
+    as_tpoly = {e: TPoly.const(c) for e, c in terms.items()}
+    a, b = HomogPoly(2, terms), HomogPoly(2, as_tpoly)
+    assert a == b and hash(a) == hash(b)
+    f = Morphism([a, HomogPoly(2, {(0, 2): 2})], normalize=False)
+    g = Morphism([b, HomogPoly(2, {(0, 2): TPoly.const(2)})], normalize=False)
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g}) == 1

@@ -6,11 +6,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from dynheight.dynsys import HomogPoly, Morphism
 from dynheight.errors import PointOnDivisorError, ValidationError
-from dynheight.exactnum import INFINITY, Place, prime_factors
-from dynheight.polynomial import parse_tpoly
+from dynheight.exactnum import INFINITY, Place, clear_denominators, prime_factors
+from dynheight.polynomial import TPoly, parse_tpoly
 from dynheight.projective import (
     ff_height,
     local_height_hyperplane,
@@ -99,14 +100,14 @@ def test_ff_normalization_removes_common_factor():
 
 
 def _point_constructions(path: Path):
-    """(class, file, innermost enclosing function) for each call of a point class."""
+    """(class, file, innermost enclosing function) for each call of the point class."""
     tree = ast.parse(path.read_text())
     parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-        if name in ("ProjPointQ", "ProjPointFF"):
+        if name == "ProjPoint":
             scope = parent.get(node)
             while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope = parent.get(scope)
@@ -116,10 +117,120 @@ def _point_constructions(path: Path):
 def test_points_are_built_only_by_normalize():
     # Morphism.apply and apply_ff bound an image's content by the resultant,
     # which holds only for primitive input, so only normalize and
-    # normalize_ff may construct the point classes.
+    # normalize_ff may construct the point class.
     src = Path(__file__).resolve().parents[1] / "src" / "dynheight"
     found = {c for path in sorted(src.glob("*.py")) for c in _point_constructions(path)}
     assert found == {
-        ("ProjPointQ", "projective.py", "normalize"),
-        ("ProjPointFF", "projective.py", "normalize_ff"),
+        ("ProjPoint", "projective.py", "normalize"),
+        ("ProjPoint", "projective.py", "normalize_ff"),
     }
+
+
+# -- one content-and-sign rule: content_unit against the three rules it replaced ------
+
+
+def _oracle_normalize(raw, bound=0):
+    # The integer rule: the gcd with the bound, then the first nonzero coordinate positive.
+    ints = clear_denominators(raw)
+    if not any(ints):
+        raise ValidationError("not a projective point")
+    g = math.gcd(bound, *ints)
+    ints = [v // g for v in ints]
+    if next(v for v in ints if v != 0) < 0:
+        ints = [-v for v in ints]
+    return tuple(ints)
+
+
+def _oracle_normalize_ff(raw, bound=0):
+    # The Z[t] rule: the polynomial gcd, then the integer content with the
+    # bound's, then the first nonzero coordinate's leading coefficient positive.
+    polys = [p if isinstance(p, TPoly) else TPoly.const(p) for p in raw]
+    if not polys or all(p.is_zero for p in polys):
+        raise ValidationError("not a projective point")
+    bound = bound if isinstance(bound, TPoly) else TPoly.const(bound)
+    g = bound.primitive()
+    for p in polys:
+        if g.degree == 0:
+            break
+        g = g.gcd(p) if not g.is_zero else p.primitive()
+    if g.degree > 0:
+        polys = [p // g for p in polys]
+    content = math.gcd(bound.content(), *(v for p in polys for v in p.c))
+    if content > 1:
+        polys = [p // content for p in polys]
+    if next(p for p in polys if not p.is_zero).lead < 0:
+        polys = [-p for p in polys]
+    return tuple(polys)
+
+
+def _oracle_lift(lift):
+    # The lift rule: the content of every coefficient, then the first
+    # coefficient's leading coefficient positive.
+    g = 0
+    for p in lift:
+        for c in p.terms.values():
+            g = math.gcd(g, c.content() if isinstance(c, TPoly) else abs(c))
+    first = next(c for p in lift for c in p.terms.values())
+    sign = 1 if (first.lead if isinstance(first, TPoly) else first) > 0 else -1
+    return tuple(
+        HomogPoly(p.nvars, {e: c // g * sign for e, c in p.terms.items()}) for p in lift
+    )
+
+
+def _strict(values):
+    # Equality that tells an int from the constant TPoly.
+    return [(type(v).__name__, v.c if isinstance(v, TPoly) else v) for v in values]
+
+
+def _strict_lift(lift):
+    return [_strict(p.terms.values()) + list(p.terms) for p in lift]
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", _strict(fn(*args))
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+tpolys = st.lists(st.integers(-12, 12), max_size=4).map(TPoly)
+int_bounds = st.sampled_from([0, 1, -1, 6, -12, 30, 360])
+bounds = st.one_of(int_bounds, tpolys, st.builds(lambda p, q: p * q, tpolys, tpolys))
+scales = st.sampled_from([1, -1, 2, -6, 15])
+
+
+@given(st.lists(st.one_of(st.integers(-60, 60), rationals), min_size=1, max_size=4), scales, int_bounds)
+def test_normalize_matches_integer_rule(raw, scale, bound):
+    raw = [scale * v for v in raw]
+    got = _outcome(lambda: normalize(raw, bound).coords)
+    assert got == _outcome(_oracle_normalize, raw, bound)
+
+
+@given(
+    st.lists(st.one_of(st.integers(-60, 60), tpolys), min_size=1, max_size=4),
+    st.one_of(st.just(1), tpolys),
+    scales,
+    bounds,
+)
+def test_normalize_ff_matches_polynomial_rule(raw, common, scale, bound):
+    raw = [scale * common * v for v in raw]
+    got = _outcome(lambda: normalize_ff(raw, bound).coords)
+    assert got == _outcome(_oracle_normalize_ff, raw, bound)
+
+
+@st.composite
+def mixed_lifts(draw):
+    """A lift of P^1 of degree 1..3 with int and TPoly coefficients, scaled by a common factor."""
+    d = draw(st.integers(1, 3))
+    coeff = st.one_of(st.integers(-9, 9), tpolys)
+    forms = [{(e, d - e): draw(coeff) for e in range(d + 1)} for _ in range(2)]
+    scale = draw(st.one_of(scales, tpolys.filter(lambda p: not p.is_zero)))
+    lift = [HomogPoly(2, {e: c * scale for e, c in terms.items()}) for terms in forms]
+    assume(not all(p.is_zero for p in lift))
+    return lift
+
+
+@given(mixed_lifts())
+def test_canonical_lift_matches_lift_rule(lift):
+    raw = Morphism(lift, normalize=False).lift
+    assert _strict_lift(Morphism(lift).lift) == _strict_lift(_oracle_lift(raw))
