@@ -208,7 +208,7 @@ class GreenProfile:
 class CanonicalHeightResult:
     value: float
     tail_bound: float
-    per_place: dict[Place, float]
+    per_place: dict[Place, float]   # inf first, then the bad primes ascending
     depth_used: int
     target_met: bool | None = None   # adaptive: tail_bound <= target_eps; fixed: None
 

@@ -59,10 +59,8 @@ __all__ = ["main", "load_system_file"]
 
 @dataclass
 class SystemFile:
-    """Parsed system/family document."""
+    """Parsed system/family document: system for a constant file, else family."""
 
-    kind: str                       # "system" or "family"
-    dim: int
     system: PolarizedSystem | None
     family: ParamSystem | None
     section: Section | None
@@ -88,13 +86,12 @@ def load_system_file(path: str | Path) -> SystemFile:
     section_doc = doc.get("section")
     if section_doc is not None and not (isinstance(section_doc, list) and len(section_doc) == dim + 1):
         raise ValidationError(f"{path}: section must be a list of {dim + 1} polynomials in t")
-    is_family = section_doc is not None or any("t" in s for lift in lifts for s in lift)
     maps = [Morphism.from_strings(lift, dim) for lift in lifts]
-    if is_family:
+    if section_doc is not None or any(m.has_param for m in maps):
         family = ParamSystem.build(maps)
         section = Section.from_strings([str(s) for s in section_doc]) if section_doc else None
-        return SystemFile("family", dim, None, family, section)
-    return SystemFile("system", dim, validate_system(maps), None, None)
+        return SystemFile(None, family, section)
+    return SystemFile(validate_system(maps), None, None)
 
 
 def _require_system(sf: SystemFile) -> PolarizedSystem:
@@ -103,19 +100,14 @@ def _require_system(sf: SystemFile) -> PolarizedSystem:
     return sf.system
 
 
-def _require_family(sf: SystemFile) -> ParamSystem:
-    if sf.family is None:
-        raise ValidationError("this command needs a family file (coefficients in t)")
-    return sf.family
-
-
 def _family_section(sf: SystemFile, point_text: str | None) -> tuple[ParamSystem, Section]:
     """The family and the section to sweep: the file's, or --point as a constant."""
-    family = _require_family(sf)
+    if sf.family is None:
+        raise ValidationError("this command needs a family file (coefficients in t)")
     section = Section.constant(parse_point(point_text)) if point_text else sf.section
     if section is None:
         raise ValidationError("family file has no section; pass --point")
-    return family, section
+    return sf.family, section
 
 
 def _green_cfg(depth: int | None, eps: float | None) -> GreenConfig:
@@ -154,7 +146,7 @@ def _parse_t_samples(text: str) -> list[Fraction]:
                 values = [Fraction(token)]
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"cannot parse t sample {token!r}: {exc}") from exc
-        out.extend(s * v for v in values for s in signs)
+        out.extend(s * v for v in values for s in signs if s == 1 or v)  # 0 once, not 0 and -0
     if not out:
         raise ValidationError("empty t sample list")
     return out
@@ -178,8 +170,8 @@ def _height_text(result) -> str:
         f"depth_used {result.depth_used}",
         "place,value",
     ]
-    for place in sorted(result.per_place, key=lambda p: p.sort_key()):
-        lines.append(f"{place},{_fmt(result.per_place[place])}")
+    for place, value in result.per_place.items():
+        lines.append(f"{place},{_fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -189,10 +181,7 @@ def _height_json(result) -> str:
         "tail_bound": result.tail_bound,
         "depth_used": result.depth_used,
         "target_met": result.target_met,
-        "per_place": {
-            str(place): result.per_place[place]
-            for place in sorted(result.per_place, key=lambda p: p.sort_key())
-        },
+        "per_place": {str(place): value for place, value in result.per_place.items()},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -207,17 +196,15 @@ def cli():
 def validate(system_path):
     """Validate a system file and print its invariants."""
     sf = load_system_file(system_path)
-    if sf.kind == "system":
-        sys_ = sf.system
-        click.echo(f"system on P^{sf.dim}: k={sys_.k} alpha={sys_.alpha} degrees={list(sys_.degrees)}")
-        if sf.dim == 1:
-            click.echo(f"bad primes: {sys_.bad_primes()}")
-    else:
-        fam = sf.family
-        click.echo(f"family on P^1: k={fam.k} alpha={fam.alpha} degrees={list(fam.degrees)}")
-        click.echo(f"good locus R(t) = {fam.good_locus}")
+    s = sf.system or sf.family
+    kind, dim = ("system", s.dim) if sf.family is None else ("family", 1)
+    click.echo(f"{kind} on P^{dim}: k={s.k} alpha={s.alpha} degrees={[m.degree for m in s.maps]}")
+    if sf.family is not None:
+        click.echo(f"good locus R(t) = {s.good_locus}")
         if sf.section is not None:
             click.echo(f"section: {sf.section}")
+    elif dim == 1:
+        click.echo(f"bad primes: {s.bad_primes()}")
 
 
 @cli.command()
@@ -441,9 +428,6 @@ def main(argv=None):
     except DynHeightError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show()
-        sys.exit(2)
     except click.ClickException as exc:
         exc.show()
         sys.exit(exc.exit_code)

@@ -18,8 +18,11 @@ degree delta = (N+1)(d-1)+1.  One cached fraction-free solve per map
 (Morphism._solve) decides it and gives the Nullstellensatz certificate.
 Its rows are the monomials of degree delta, its columns the multiples
 mu*F_i, and its right-hand sides X_0^delta, ..., X_N^delta, built straight
-from the lift in its ring (Z, or Z[t] for a parametric lift); on P^1 the
-matrix is S^T, S the Sylvester matrix.  Morphism.resultant is the solve's
+from the lift in its ring (Z, or Z[t] for a parametric lift): each term
+c*X^e of F_i puts c in the rows of the monomials mu*X^e, and those rows
+are laid out once per exponent e that some lift has (_multiple_rows), so
+a sparse lift of high degree costs its terms, not all degree-d monomials.
+On P^1 the matrix is S^T, S the Sylvester matrix.  Morphism.resultant is the solve's
 signed minor D: the resultant on P^1, a nonzero multiple of the Macaulay
 resultant on P^N, and 0 exactly for a non-morphism, which validate_system
 rejects.  Morphism.certificate reads from the solve, on demand, R_j and
@@ -50,6 +53,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
+from operator import add
 
 from .errors import IndeterminatePointError, ValidationError
 from .exactnum import prime_factors
@@ -325,19 +329,20 @@ class Morphism:
         M are dependent: the map is not a morphism.
         """
         if self._solved is None:
-            nrows, mults, rows_of, rhs = _macaulay_layout(self.nvars, self.degree)
+            nvars, d = self.nvars, self.degree
+            row_of, mults, rhs = _macaulay_layout(nvars, d)
             one = TPoly.const(1) if self.has_param else 1
-            rows: list[dict] = [{} for _ in range(nrows)]
+            rows: list[dict] = [{} for _ in row_of]
             for i, form in enumerate(self.lift):
                 base = i * len(mults)
                 for e, c in form.terms.items():
                     v = one * c
-                    for m, r in enumerate(rows_of[e]):
+                    for m, r in enumerate(_multiple_rows(nvars, d, e)):
                         rows[r][base + m] = v
-            n = self.nvars * len(mults)
+            n = nvars * len(mults)
             for j, r in enumerate(rhs):
                 rows[r][n + j] = one
-            self._solved = solve_scaled(rows, n, self.nvars) or (one * 0, None)
+            self._solved = solve_scaled(rows, n, nvars) or (one * 0, None)
         return self._solved
 
     def resultant(self) -> int | TPoly:
@@ -365,7 +370,7 @@ class Morphism:
             res, ys = self._solve()
             if ys is None:
                 raise ValidationError(f"not a morphism: zero resultant for {self}")
-            _nrows, mults, _rows_of, _rhs = _macaulay_layout(self.nvars, self.degree)
+            _row_of, mults, _rhs = _macaulay_layout(self.nvars, self.degree)
             cert = []
             for y in ys:
                 rj = abs(res) // gcd(res, *y)
@@ -412,19 +417,25 @@ def _macaulay_layout(nvars: int, d: int) -> tuple:
 
     Rows are the monomials of degree delta = nvars*(d-1)+1, columns the
     pairs (coordinate i, multiplier mu of degree delta-d) at i*M + m for the
-    m-th of M multipliers, both in descending lex order.  Returns (row
-    count, the multipliers, {degree-d exponent e: the rows of mu*X^e}, the
-    rows of X_0^delta, ..., X_N^delta).
+    m-th of M multipliers, both in descending lex order.  Returns ({monomial
+    of degree delta: its row}, the multipliers, the rows of X_0^delta, ...,
+    X_N^delta).
     """
     delta = nvars * (d - 1) + 1
     row_of = {e: r for r, e in enumerate(_monomials(nvars, delta))}
-    mults = _monomials(nvars, delta - d)
-    rows_of = {
-        e: [row_of[tuple(a + b for a, b in zip(mu, e))] for mu in mults]
-        for e in _monomials(nvars, d)
-    }
     rhs = [row_of[tuple(delta * (i == j) for i in range(nvars))] for j in range(nvars)]
-    return len(row_of), mults, rows_of, rhs
+    return row_of, _monomials(nvars, delta - d), rhs
+
+
+@functools.cache
+def _multiple_rows(nvars: int, d: int, e: tuple) -> list[int]:
+    """The rows of mu*X^e, mu over the multipliers of _macaulay_layout(nvars, d), in order.
+
+    Cached per exponent of a lift term, so a sparse lift of high degree
+    never lays out the degree-d monomials it does not have.
+    """
+    row_of, mults, _rhs = _macaulay_layout(nvars, d)
+    return [row_of[tuple(map(add, mu, e))] for mu in mults]
 
 
 def _canonical_lift(lift: tuple) -> tuple:
@@ -444,10 +455,6 @@ class PolarizedSystem:
     alpha: int
     dim: int
     _bad_primes: list | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(m.degree for m in self.maps)
 
     def resultants(self) -> tuple[int, ...]:
         return tuple(m.resultant() for m in self.maps)

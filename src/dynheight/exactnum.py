@@ -150,10 +150,6 @@ class Place:
     def is_infinite(self) -> bool:
         return self.p is None
 
-    def sort_key(self) -> tuple[int, int]:
-        # archimedean place first, then finite places by p
-        return (0, 0) if self.p is None else (1, self.p)
-
     def __str__(self) -> str:
         return "inf" if self.p is None else f"p{self.p}"
 

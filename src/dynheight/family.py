@@ -99,10 +99,6 @@ class ParamSystem:
             raise ValidationError("generic fiber is not a morphism system (zero t-resultant)")
         return cls(maps=maps, k=k, alpha=alpha, good_locus=locus)
 
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(m.degree for m in self.maps)
-
 
 @dataclass(frozen=True)
 class Section:

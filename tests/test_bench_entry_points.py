@@ -2,8 +2,9 @@
 
 The traced benchmark wraps dynheight's layer entry points by name:
 perfbench/tracing.py lists them as (module, attribute) pairs and reads some
-of their argument names and return fields; a rename in dynheight would
-otherwise only show up as a failing traced run.  Every module's __all__
+of their argument names and return fields; perfbench/workloads.py reads
+fields of a loaded system file and builds GreenConfig by keyword.  A rename
+in dynheight would otherwise only show up as a failing benchmark run.  Every module's __all__
 and the package's re-exports name what exists.
 """
 
@@ -50,6 +51,16 @@ def test_counted_arguments_exist():
     assert "n" in inspect.signature(canonical_height_oracle_detailed).parameters
     # the walks' counters read these fields of the returned profile
     assert {"nodes", "depth"} <= set(GreenProfile.__dataclass_fields__)
+
+
+def test_workload_reads_exist():
+    # perfbench/workloads.py reads these fields of a loaded system file and
+    # builds GreenConfig with these keywords.
+    from dynheight.canonical import GreenConfig
+    from dynheight.cli import SystemFile
+
+    assert {"system", "family", "section"} <= set(SystemFile.__dataclass_fields__)
+    assert {"depth", "target_eps", "mode", "node_budget"} <= set(inspect.signature(GreenConfig).parameters)
 
 
 def test_one_map_walks_enter_the_traced_arch_layer(monkeypatch):

@@ -1,15 +1,19 @@
 """CLI surface: subcommands, file formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import click
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynheight.cli import cli, load_system_file, main
 from dynheight.errors import ValidationError
@@ -82,9 +86,55 @@ def files(tmp_path):
 
 def test_load_system_file(files):
     sf = load_system_file(files["monomial"])
-    assert sf.kind == "system" and sf.system.alpha == 5
+    assert sf.family is None and sf.system.alpha == 5
     ff = load_system_file(files["x2pt"])
-    assert ff.kind == "family" and ff.section is not None
+    assert ff.system is None and ff.section is not None
+
+
+def run_main(*args) -> tuple[int, str, str]:
+    """main() in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("lift0", ["X0^2 + t*X1^2 - t*X1^2", "X0^2 + 0*t*X1^2"])
+def test_t_terms_that_cancel_load_a_constant_system(tmp_path, lift0):
+    # The family test reads the parsed coefficients, not the text: these
+    # lifts are X0^2, X1^2 over Z.
+    path = tmp_path / "cancel.json"
+    path.write_text(json.dumps({"space": {"dim": 1}, "maps": [{"lift": [lift0, "X1^2"]}]}))
+    sf = load_system_file(path)
+    assert sf.family is None and sf.system is not None
+    assert run_main("validate", "--system", str(path)) == (
+        0, "system on P^1: k=1 alpha=2 degrees=[2]\nbad primes: []\n", "",
+    )
+    code, out, _err = run_main("height", "--system", str(path), "--point", "3:1", "--depth", "5")
+    assert code == 0 and out.startswith("value 1.09861228867\n")
+
+
+def test_constant_lift_with_a_section_is_a_family(tmp_path):
+    doc = {"space": {"dim": 1}, "maps": [{"lift": ["X0^2+X1^2", "X1^2"]}], "section": ["t", "1"]}
+    path = tmp_path / "const_section.json"
+    path.write_text(json.dumps(doc))
+    sf = load_system_file(path)
+    assert sf.system is None and str(sf.section) == "t:1"
+    assert run_main("validate", "--system", str(path)) == (
+        0, "family on P^1: k=1 alpha=2 degrees=[2]\ngood locus R(t) = 1\nsection: t:1\n", "",
+    )
+
+
+def test_plus_minus_range_lists_t_zero_once():
+    system = str(ROOT / "scripts" / "systems" / "x2plust.json")
+    code, out, _err = run_main("sweep", "--system", system, "--t", "+-0")
+    assert code == 0 and out == "t,h_T,point,value,aux\n0,0,0:1,0,0\n"
+    code, out, _err = run_main("sweep", "--system", system, "--t", "+-0..2")
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["0", "1", "-1", "2", "-2"]
 
 
 def test_validate_command(files):
@@ -384,6 +434,61 @@ def test_lift_must_be_a_list(tmp_path, lift):
     path.write_text(json.dumps({"space": {"dim": 1}, "maps": [{"lift": lift}]}))
     with pytest.raises(ValidationError, match="each lift must be a list of 2 polynomials"):
         load_system_file(path)
+
+
+# System-file fuzz: a well-formed P^1 document of degree d <= 3, then up to
+# two corruptions.  Token soup is joined by spaces, so every exponent is one
+# digit.  Dims stop at 2, because a random P^3 lift of degree 6 already makes
+# a Macaulay matrix of 2,024 rows.
+FUZZ_TOKENS = ["X0", "X1", "X2", "t", "0", "2", "3", "+", "-", "*", "^2", "^3", "^", "x", "/", "(", ""]
+FUZZ_DIMS = [2, 0, -1, "1", 1.5, True, None, [1]]
+
+
+@st.composite
+def fuzz_docs(draw):
+    d = draw(st.integers(1, 3))
+    term = st.tuples(st.sampled_from(["+", "-"]), st.sampled_from(["1", "2", "t", "0"]), st.integers(0, d)).map(
+        lambda sca: sca[0] + " " + " * ".join([sca[1]] + ["X0"] * sca[2] + ["X1"] * (d - sca[2]))
+    )
+    soup = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=6).map(" ".join)
+
+    def lift():
+        return [" ".join([f"X{i}^{d}", *draw(st.lists(term, max_size=2))]) for i in (0, 1)]
+
+    maps = [{"lift": lift()} for _ in range(draw(st.integers(1, 3)))]
+    doc = {"space": {"dim": 1}, "maps": maps}
+    if draw(st.booleans()):
+        doc["section"] = draw(st.lists(st.sampled_from(["t", "1", "t^2 - 3", "0", "2*t"]), min_size=2, max_size=2))
+    for corruption in draw(st.lists(st.integers(0, 5), max_size=2)):
+        entry = maps[draw(st.integers(0, len(maps) - 1))]
+        if corruption == 0:
+            doc["space"]["dim"] = draw(st.sampled_from(FUZZ_DIMS))
+        elif corruption == 1:
+            entry["lift"] = [lift()[0], draw(soup)]
+        elif corruption == 2:
+            entry["lift"] = draw(st.one_of(soup, st.integers(), st.none()))
+        elif corruption == 3:
+            entry["lift"] = lift()[: draw(st.integers(0, 1))] or [*lift(), draw(soup)]
+        elif corruption == 4:
+            maps.clear()
+            maps.append({"lift": lift()})
+            doc["maps"] = draw(st.sampled_from([[], maps, {"lift": maps}]))
+        else:
+            doc["section"] = draw(st.one_of(st.lists(soup, max_size=3), soup, st.integers()))
+    return doc
+
+
+@given(fuzz_docs())
+@settings(max_examples=120, deadline=None)
+def test_fuzzed_system_files_exit_cleanly(doc):
+    # Whatever the document, validate and height end in an exit code, never
+    # in an exception escaping main (exit 1 and a traceback).
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        for args in (["validate"], ["height", "--point", "2:1", "--depth", "3"]):
+            code, _out, _err = run_main(*args, "--system", str(path))
+            assert code in {0, 2, 3, 4}, (args, doc)
 
 
 def test_main_entry_point(files, capsys):

@@ -1,6 +1,7 @@
 """Lifts, composition, resultants, commutation, system validation."""
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -19,6 +20,7 @@ from dynheight.dynsys import (
 )
 from dynheight.errors import IndeterminatePointError, ValidationError
 from dynheight.exactnum import prime_factors
+from dynheight.linalg import solve_scaled
 from dynheight.polynomial import TPoly, parse_tpoly
 from dynheight.projective import normalize, normalize_ff, parse_point
 
@@ -369,3 +371,91 @@ def test_apply_ff_matches_full_gcd_on_random_lifts(f, x0, x1):
         image = f.apply_ff(pt)
         assert image == normalize_ff(f.eval_raw(pt.coords))
         pt = image
+
+
+def _degree_monomials(nvars: int, degree: int) -> list[tuple]:
+    return sorted((e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) == degree), reverse=True)
+
+
+def _eager_macaulay_rows(f: Morphism):
+    """The Macaulay rows of f built the eager way, as the differential oracle.
+
+    A table of the rows of mu*X^e for every degree-d monomial e, whether
+    the lift has it or not; rows, multipliers and right-hand sides in
+    descending lex order.  Returns (rows, unknowns, multipliers).
+    """
+    nvars, d = f.nvars, f.degree
+    delta = nvars * (d - 1) + 1
+    row_of = {e: r for r, e in enumerate(_degree_monomials(nvars, delta))}
+    mults = _degree_monomials(nvars, delta - d)
+    rows_of = {
+        e: [row_of[tuple(a + b for a, b in zip(mu, e))] for mu in mults]
+        for e in _degree_monomials(nvars, d)
+    }
+    one = TPoly.const(1) if f.has_param else 1
+    rows = [{} for _ in row_of]
+    for i, form in enumerate(f.lift):
+        for e, c in form.terms.items():
+            for m, r in enumerate(rows_of[e]):
+                rows[r][i * len(mults) + m] = one * c
+    n = nvars * len(mults)
+    for j in range(nvars):
+        rows[row_of[tuple(delta * (i == j) for i in range(nvars))]][n + j] = one
+    return rows, n, mults
+
+
+@st.composite
+def macaulay_lifts(draw):
+    """Lifts on P^1..P^3 of degree 1..3 with int or Z[t] coefficients.
+
+    Dense lifts draw a coefficient, maybe 0, for every monomial; sparse ones
+    up to three monomials per form, maybe with X_i^d in form i.  Z[t] is
+    drawn on P^1 and for P^2 quadrics only, and P^3 cubics are sparse: the
+    other solves take seconds each.
+    """
+    nvars, d = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    param = draw(st.booleans()) and (nvars == 2 or (nvars, d) == (3, 2))
+    dense = draw(st.booleans()) and (nvars, d) != (4, 3)
+    if param:
+        coeffs = st.lists(st.integers(-3, 3), max_size=3).map(TPoly)
+    else:
+        coeffs = st.integers(-3, 3)
+    monos = _degree_monomials(nvars, d)
+    forms = []
+    for i in range(nvars):
+        if dense:
+            exps = monos
+        else:
+            exps = draw(st.lists(st.sampled_from(monos), max_size=3, unique=True))
+            if draw(st.booleans()):
+                exps.append(tuple(d * (k == i) for k in range(nvars)))
+        forms.append(HomogPoly(nvars, {e: draw(coeffs) for e in exps}))
+    try:
+        return Morphism(forms)
+    except ValidationError:
+        assume(False)
+
+
+@given(macaulay_lifts())
+@settings(max_examples=120, deadline=None)
+def test_macaulay_rows_match_the_eager_table(f):
+    # _solve lays out rows only for the lift's own exponents; the solve, and
+    # the certificate read from it, must equal the eager table's.
+    rows, n, mults = _eager_macaulay_rows(f)
+    expected = solve_scaled(rows, n, f.nvars)
+    if expected is None:
+        assert f.resultant() == 0 and f._solve()[1] is None
+        return
+    assert f._solve() == expected
+    if f.has_param:
+        return
+    res, ys = expected
+    delta = f.nvars * (f.degree - 1) + 1
+    for j, ((rj, forms), y) in enumerate(zip(f.certificate(), ys)):
+        assert rj == abs(res) // gcd(res, *y)
+        assert forms == tuple(
+            HomogPoly(f.nvars, {mu: y[i * len(mults) + m] // (res // rj) for m, mu in enumerate(mults)})
+            for i in range(f.nvars)
+        )
+        combo = functools.reduce(HomogPoly.__add__, (g * fi for g, fi in zip(forms, f.lift)))
+        assert combo == HomogPoly(f.nvars, {tuple(delta * (i == j) for i in range(f.nvars)): rj})
