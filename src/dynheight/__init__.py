@@ -74,7 +74,6 @@ from .projective import (
     ff_height,
     local_height_hyperplane,
     normalize,
-    normalize_ff,
     parse_point,
     weil_height,
 )

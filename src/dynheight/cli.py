@@ -135,9 +135,11 @@ def _parse_t_samples(text: str) -> list[Fraction]:
         if not token:
             continue
         signs = (1,)
-        if token.startswith("+-") or token.startswith("±"):
-            token = token.lstrip("±").lstrip("+-")
+        if token.startswith(("+-", "±")):
+            token = token[1 if token[0] == "±" else 2 :].lstrip()
             signs = (1, -1)
+            if token.startswith(("+", "-", "±")):
+                raise ValidationError(f"no sign may follow the +- prefix in t sample {text!r}")
         try:
             if ".." in token:
                 lo_s, hi_s = token.split("..")

@@ -32,14 +32,14 @@ the p-adic valuation of an image (see canonical).
 D also bounds the content of an exact image: at a primitive x,
 gcd_i F_i(x) divides every R_j * x_j^delta, so it divides lcm_j R_j and
 hence D.  So Morphism.apply renormalizes by gcd(D, F_0(x), ..., F_N(x)),
-a reduction modulo a small integer instead of a gcd of huge ones, and
-apply_ff does the same in Z[t].  With D = 0 the gcd is the full one.  The
-argument needs primitive input, which is why only projective.normalize
-and normalize_ff build points.
+a reduction modulo a small integer instead of a gcd of huge ones, or the
+same in Z[t]: projective.normalize reads the ring from the image.  With
+D = 0 the gcd is the full one.  The argument needs primitive input, which
+is why only projective.normalize builds points.
 
 Lift polynomials are read by polynomial.parse_terms, which states the
 grammar; t always parses, and a parametric lift is rejected wherever a
-constant one is needed (validate_system, Morphism.apply).  HomogPoly.eval
+constant one is needed (validate_system, Morphism.certificate).  HomogPoly.eval
 is the one lift evaluator, whatever the coordinates are: integers and
 residues in the exact walks, Z[t] in the function-field height,
 HomogPolys in compose, float columns in the archimedean walk.  Terms are stored in descending lexicographic exponent
@@ -59,7 +59,7 @@ from .errors import IndeterminatePointError, ValidationError
 from .exactnum import prime_factors
 from .linalg import solve_scaled
 from .polynomial import TPoly, content_unit, parse_terms
-from .projective import ProjPoint, normalize, normalize_ff
+from .projective import ProjPoint, normalize
 
 __all__ = [
     "HomogPoly",
@@ -285,33 +285,20 @@ class Morphism:
         return tuple(p.eval(coords) for p in self.lift)
 
     def apply(self, point: ProjPoint) -> ProjPoint:
-        """Evaluate on primitive coordinates and renormalize; exact.
+        """Evaluate on primitive coordinates and renormalize; exact, over Q or Q(t).
 
         The content of F(x) divides D = resultant() (see the module
-        docstring), so it is gcd(D, F_0(x), ..., F_N(x)): the huge
-        coordinates reduced modulo D.  With D = 0 it is the full gcd.
+        docstring), so normalize takes gcd(D, F_0(x), ..., F_N(x)), the huge
+        coordinates reduced modulo D, in Z or Z[t]; with D = 0 the full gcd.
+        A parametric lift maps a rational point to a point over Q(t): the
+        image of the constant section.
         """
         if point.dim != self.dim:
             raise ValidationError("dimension mismatch")
-        if self.has_param:
-            raise ValidationError("parametric lift applied to a rational point")
         vals = self.eval_raw(point.coords)
         if all(v == 0 for v in vals):
             raise IndeterminatePointError("indeterminate point")
         return normalize(vals, self.resultant())
-
-    def apply_ff(self, point: ProjPoint) -> ProjPoint:
-        """Evaluate on Q(t)-coordinates and renormalize to a coprime tuple.
-
-        As apply, in Z[t]: the polynomial gcd starts from D and is skipped
-        when D is a nonzero constant (as for x^2 + t).
-        """
-        if point.dim != self.dim:
-            raise ValidationError("dimension mismatch")
-        vals = self.eval_raw(point.coords)
-        if all(v == 0 for v in vals):
-            raise IndeterminatePointError("indeterminate point")
-        return normalize_ff(vals, self.resultant())
 
     # -- structure ---------------------------------------------------------------
 

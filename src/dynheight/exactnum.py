@@ -31,6 +31,7 @@ __all__ = [
     "is_prime",
     "prime_factors",
     "clear_denominators",
+    "parse_int",
 ]
 
 
@@ -122,6 +123,14 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
+def parse_int(digits: str) -> int:
+    """int(digits); a ValidationError past int()'s digit limit (4,300 by default)."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ValidationError(f"integer literal too long ({len(digits)} digits)") from exc
+
+
 def clear_denominators(vals) -> list[int]:
     """The rationals vals times the lcm of their denominators, as integers."""
     vals = list(vals)
@@ -158,8 +167,8 @@ class Place:
         text = text.strip().lower()
         if text in ("inf", "infinity", "oo"):
             return cls()
-        if text.startswith("p") and text[1:].isdecimal() and is_prime(int(text[1:])):
-            return cls.prime(int(text[1:]))
+        if text.startswith("p") and text[1:].isdecimal() and is_prime(p := parse_int(text[1:])):
+            return cls.prime(p)
         raise ValidationError(f"cannot parse place {text!r} (use 'inf' or 'pN' with N prime)")
 
 

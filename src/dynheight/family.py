@@ -54,7 +54,6 @@ from .projective import (
     ff_height,
     local_height_hyperplane,
     normalize,
-    normalize_ff,
     weil_height,
 )
 
@@ -108,11 +107,12 @@ class Section:
 
     @classmethod
     def from_strings(cls, polys) -> "Section":
-        return cls(normalize_ff([parse_tpoly(s) for s in polys]))
+        return cls(normalize([parse_tpoly(s) for s in polys]))
 
     @classmethod
     def constant(cls, point: ProjPoint) -> "Section":
-        return cls(normalize_ff(point.coords))
+        # TPoly entries, even constant ones: specialize_at reads their degrees.
+        return cls(normalize([TPoly.const(c) for c in point.coords]))
 
     def specialize_at(self, t0: Fraction) -> ProjPoint:
         """The point at t = t0: b^D * P_i(a/b) for t0 = a/b, D the largest degree, normalized."""
@@ -156,7 +156,7 @@ def ff_canonical_height(system: ParamSystem, section: Section, n: int) -> FFHeig
         raise ValidationError("depth must be nonnegative")
 
     def children(point: ProjPoint) -> list[ProjPoint]:
-        return [mp.apply_ff(point) for mp in system.maps]
+        return [mp.apply(point) for mp in system.maps]
 
     value = prev = Fraction(ff_height(section.point))
     for m, _nodes, level in walk(section.point, children, system.k, n, resolve_budget(None)):

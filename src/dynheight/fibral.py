@@ -386,25 +386,33 @@ def model_to_json(model: SyntheticModel) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _json_int(v):
+    """v if it is a JSON integer (not a bool), else a ValueError."""
+    if type(v) is not int:
+        raise ValueError(f"integer expected, not {v!r}")
+    return v
+
+
 def model_from_json(text: str) -> SyntheticModel:
     try:
         doc = json.loads(text)
+        n = _json_int(doc["n"])
         actions = tuple(
-            PermTypeMatrix(doc["n"], tuple(v - 1 for v in img)) for img in doc["actions"]
+            PermTypeMatrix(n, tuple(_json_int(v) - 1 for v in img)) for img in doc["actions"]
         )
         points = tuple(
             ModelPoint(
-                pid=int(p["id"]),
-                sigma=int(p["sigma"]) - 1,
-                images=tuple(int(q) for q in p["images"]),
+                pid=_json_int(p["id"]),
+                sigma=_json_int(p["sigma"]) - 1,
+                images=tuple(_json_int(q) for q in p["images"]),
                 i_e=Fraction(p["iE"]),
                 vf=Fraction(p["vf"]),
             )
             for p in doc["points"]
         )
         return SyntheticModel(
-            n=int(doc["n"]),
-            k=int(doc["k"]),
+            n=n,
+            k=_json_int(doc["k"]),
             alpha=Fraction(doc["alpha"]),
             actions=actions,
             c=tuple(Fraction(v) for v in doc["c"]),

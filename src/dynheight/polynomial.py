@@ -23,6 +23,7 @@ import math
 import re
 
 from .errors import ValidationError
+from .exactnum import parse_int
 
 __all__ = ["TPoly", "content_unit", "parse_terms", "parse_tpoly"]
 
@@ -306,11 +307,11 @@ def parse_terms(text: str, nvars: int) -> dict[tuple[int, ...], TPoly]:
     def factor():
         kind, val = take()
         if kind == "int":
-            exps, c = const, TPoly.const(int(val))
+            exps, c = const, TPoly.const(parse_int(val))
         elif val == "t":
             exps, c = const, TPoly.t()
         elif kind == "var":
-            i = int(val[1:])
+            i = parse_int(val[1:])
             if i >= nvars:
                 where = f"dimension {nvars - 1}" if nvars else "a polynomial in t"
                 raise ValidationError(f"variable {val} out of range for {where}")
@@ -320,9 +321,10 @@ def parse_terms(text: str, nvars: int) -> dict[tuple[int, ...], TPoly]:
         if peek() == ("op", "^"):
             take()
             kind, val = take()
-            if kind != "int" or int(val) < 1:
+            n = parse_int(val) if kind == "int" else 0
+            if n < 1:
                 raise ValidationError("^ needs a positive integer exponent")
-            exps, c = tuple(e * int(val) for e in exps), c ** int(val)
+            exps, c = tuple(e * n for e in exps), c**n
         return exps, c
 
     def term():

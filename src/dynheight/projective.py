@@ -1,7 +1,8 @@
 """Primitive projective points over Q and Q(t), and their naive heights.
 
-One class, ProjPoint, holds both kinds by their canonical coordinates, and
-one rule (polynomial.content_unit) fixes their content and sign.  A point
+One class, ProjPoint, holds both kinds by their canonical coordinates; one
+constructor, normalize, reads the ring from the entries, and one rule
+(polynomial.content_unit) fixes their content and sign.  A point
 of P^N(Q) is stored by its unique primitive integer representative:
 coprime coordinates with the first nonzero one positive.  The naive Weil
 height is ln of the sup norm of that representative; the standard local
@@ -15,8 +16,9 @@ archimedean place plus the primes dividing the coordinates.
 Points over Q(t) are tuples of integer polynomials in t with no common
 nonconstant factor; constants are units of Q(t), so integer content and
 sign are only fixed for a deterministic representative, by the same rule
-with the first nonzero coordinate's leading coefficient positive.  Their
-height is the maximum coordinate degree.
+with the first nonzero coordinate's leading coefficient positive.  A tuple
+with a TPoly entry is read as such a point.  Their height is the maximum
+coordinate degree.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .polynomial import TPoly, content_unit
 __all__ = [
     "ProjPoint",
     "normalize",
-    "normalize_ff",
     "parse_coords",
     "parse_point",
     "weil_height",
@@ -47,10 +48,9 @@ class ProjPoint:
 
     coords are coprime ints (over Q) or coprime TPolys (over Q(t)), with
     content 1 and a positive first leading coefficient.  Build it with
-    normalize or normalize_ff, never directly: Morphism.apply and apply_ff
-    bound an image's common factor by the resultant, which holds only for
-    such input (a test checks that nothing else in the package constructs
-    it).
+    normalize, never directly: Morphism.apply bounds an image's common
+    factor by the resultant, which holds only for such input (a test checks
+    that nothing else in the package constructs it).
     """
 
     coords: tuple
@@ -63,22 +63,35 @@ class ProjPoint:
         return ":".join(str(c) for c in self.coords)
 
 
-def normalize(raw, bound: int = 0) -> ProjPoint:
-    """Canonical primitive representative of a tuple of rationals.
+def normalize(raw, bound: int | TPoly = 0) -> ProjPoint:
+    """Canonical representative of a tuple of rationals, or of ints and TPolys.
 
-    Clears denominators, then divides by content_unit: the coordinate gcd
-    with the sign of the first nonzero coordinate.  bound is a known
-    multiple of that gcd (Morphism.apply passes the resultant), so the gcd
-    is gcd(bound, *coords), which reduces the huge coordinates modulo a
-    small bound; 0 means unknown and gives the full gcd.
+    A tuple with a TPoly entry is a point over Q(t): ints become constant
+    TPolys and the common polynomial factor goes, its gcd seeded from
+    bound's primitive part (a nonzero constant bound skips it).  Any other
+    tuple clears denominators.  Both are then divided by content_unit.
+    bound is a known multiple of the coordinates' gcd (Morphism.apply passes
+    the resultant), so huge coordinates are reduced modulo it; 0 means unknown.
     """
-    ints = clear_denominators(raw)
-    if not any(ints):
+    coords = list(raw)
+    ff = TPoly in map(type, coords)
+    if not ff:
+        coords = clear_denominators(coords)
+    if not any(coords):
         raise ValidationError("not a projective point")
-    unit = content_unit(ints, bound)
+    if ff:
+        coords = [v if isinstance(v, TPoly) else TPoly.const(v) for v in coords]
+        g = bound.primitive() if isinstance(bound, TPoly) else TPoly.const(bound)
+        for p in coords:
+            if g.degree == 0:
+                break
+            g = g.gcd(p) if not g.is_zero else p.primitive()
+        if g.degree > 0:
+            coords = [p // g for p in coords]
+    unit = content_unit(coords, bound)
     if unit != 1:
-        ints = [v // unit for v in ints]
-    return ProjPoint(tuple(ints))
+        coords = [v // unit for v in coords]
+    return ProjPoint(tuple(coords))
 
 
 def parse_coords(text: str) -> list[Fraction]:
@@ -114,34 +127,6 @@ def local_height_hyperplane(point: ProjPoint, j: int, v: Place) -> float:
     p = v.p
     min_ord = min(ord_p(c, p) for c in coords if c != 0)
     return (ord_p(coords[j], p) - min_ord) * math.log(p)
-
-
-def normalize_ff(raw, bound: int | TPoly = 0) -> ProjPoint:
-    """Canonical representative over Q(t) of a tuple of ints or TPolys.
-
-    Removes the common polynomial factor of the coordinates (coprimality in
-    Q(t)), then divides by content_unit: the integer content with the sign
-    of the first nonzero leading coefficient, for determinism.  bound is a
-    known multiple in Z[t] of the coordinates' gcd (Morphism.apply_ff
-    passes the resultant): the polynomial gcd starts from its primitive
-    part, so a nonzero constant bound skips it, and the integer content is
-    a gcd with its content.  0 means unknown and gives the full gcds.
-    """
-    polys = [p if isinstance(p, TPoly) else TPoly.const(p) for p in raw]
-    if not polys or all(p.is_zero for p in polys):
-        raise ValidationError("not a projective point")
-    bound = bound if isinstance(bound, TPoly) else TPoly.const(bound)
-    g = bound.primitive()
-    for p in polys:
-        if g.degree == 0:
-            break
-        g = g.gcd(p) if not g.is_zero else p.primitive()
-    if g.degree > 0:
-        polys = [p // g for p in polys]
-    unit = content_unit(polys, bound)
-    if unit != 1:
-        polys = [p // unit for p in polys]
-    return ProjPoint(tuple(polys))
 
 
 def ff_height(point: ProjPoint) -> int:

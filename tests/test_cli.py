@@ -30,6 +30,7 @@ X2PT_DOC = {
 }
 BAD_DOC = {"space": {"dim": 1}, "maps": [{"lift": ["X0^2", "X0*X1"]}]}
 # Malformed files: each must end in exit 2, never a traceback.
+LONG = "1" * 5000
 MALFORMED_SYSTEMS = {
     "dim_one": {"space": {"dim": "one"}, "maps": MONOMIAL_DOC["maps"]},
     "dim_float": {"space": {"dim": 1.5}, "maps": MONOMIAL_DOC["maps"]},
@@ -42,6 +43,11 @@ MALFORMED_SYSTEMS = {
     "section_str": {**X2PT_DOC, "section": "t"},
     "lift_str": {"space": {"dim": 1}, "maps": [{"lift": "X0^2"}]},
     "p2_not_morphism": {"space": {"dim": 2}, "maps": [{"lift": ["X0^2", "X1^2", "0"]}]},
+    # Literals past int()'s 4,300-digit limit.
+    "coefficient_too_long": {"space": {"dim": 1}, "maps": [{"lift": [f"X0^2 + {LONG}*X1^2", "X1^2"]}]},
+    "exponent_too_long": {"space": {"dim": 1}, "maps": [{"lift": [f"X0^{LONG}", "X1^2"]}]},
+    "variable_too_long": {"space": {"dim": 1}, "maps": [{"lift": [f"X{LONG}^2", "X1^2"]}]},
+    "section_too_long": {**X2PT_DOC, "section": [f"{LONG}*t", "1"]},
 }
 MODEL_DOC = {
     "n": 1, "k": 1, "alpha": "2", "actions": [[1]], "c": ["0"],
@@ -52,6 +58,13 @@ MALFORMED_MODELS = {
     "model_c": {**MODEL_DOC, "c": ["1/0"]},
     "model_iE": {**MODEL_DOC, "points": [{**MODEL_DOC["points"][0], "iE": "1/0"}]},
     "model_vf": {**MODEL_DOC, "points": [{**MODEL_DOC["points"][0], "vf": "1/0"}]},
+    # Indices are JSON integers, not floats or bools.
+    "model_n_bool": {**MODEL_DOC, "n": True},
+    "model_k_bool": {**MODEL_DOC, "k": True},
+    "model_action_float": {**MODEL_DOC, "n": 2, "actions": [[1, 1.5]], "c": ["0", "0"]},
+    "model_id_float": {**MODEL_DOC, "points": [{**MODEL_DOC["points"][0], "id": 0.5}]},
+    "model_sigma_float": {**MODEL_DOC, "points": [{**MODEL_DOC["points"][0], "sigma": 1.9}]},
+    "model_images_float": {**MODEL_DOC, "points": [{**MODEL_DOC["points"][0], "images": [0.7]}]},
 }
 
 
@@ -403,6 +416,9 @@ SOLVE = ["fibral", "solve", "--actions", "[[1,0],[0,1]]"]
         ["green", "--system", "{monomial}", "--point", "5:7", "--place", "p3", "--eps", "nan"],
         ["height", "--system", "{monomial}", "--point", "2:1", "--eps", "inf"],
         ["sweep", "--system", "{x2pt}", "--t", "1", "--eps", "inf"],
+        ["sweep", "--system", "{x2pt}", "--t", "+--2..2"],
+        ["sweep", "--system", "{x2pt}", "--t", "±-2..2"],
+        ["green", "--system", "{monomial}", "--point", "2:1", "--place", f"p{LONG}"],
         *(["validate", "--system", f"{{{name}}}"] for name in MALFORMED_SYSTEMS),
         *(["fibral", "verify", "--model", f"{{{name}}}"] for name in MALFORMED_MODELS),
     ],
@@ -412,6 +428,7 @@ SOLVE = ["fibral", "solve", "--actions", "[[1,0],[0,1]]"]
         "depth-0", "huge-coefficient", "green-one-coordinate", "green-one-coordinate-p2",
         "green-three-coordinates", "local-three-coordinates", "samples-0", "samples-negative",
         "height-eps-nan", "commute-eps-nan", "green-eps-nan", "height-eps-inf", "sweep-eps-inf",
+        "t-sign-after-plus-minus", "t-sign-after-pm", "place-too-long",
         *MALFORMED_SYSTEMS, *MALFORMED_MODELS,
     ],
 )

@@ -22,7 +22,7 @@ from dynheight.errors import IndeterminatePointError, ValidationError
 from dynheight.exactnum import prime_factors
 from dynheight.linalg import solve_scaled
 from dynheight.polynomial import TPoly, parse_tpoly
-from dynheight.projective import normalize, normalize_ff, parse_point
+from dynheight.projective import normalize, parse_point
 
 SYSTEMS = Path(__file__).resolve().parents[1] / "scripts" / "systems"
 
@@ -176,8 +176,8 @@ def test_parametric_lift_guards():
     assert f.has_param
     with pytest.raises(ValidationError, match="specialize first"):
         validate_system([f])
-    with pytest.raises(ValidationError, match="parametric lift applied to a rational point"):
-        f.apply(parse_point("1:1"))
+    # A rational point is the constant section: its image is a point over Q(t).
+    assert f.apply(parse_point("1:1")) == normalize([parse_tpoly("t+1"), parse_tpoly("1")])
 
 
 def test_bad_primes_examples():
@@ -347,13 +347,14 @@ FF_SECTIONS = [("0", "1"), ("1", "1"), ("2", "3"), ("1", "0"), ("t", "1"), ("t+1
 @pytest.mark.parametrize("name", ["x2plust", "ty2_family"])
 @pytest.mark.parametrize("section", FF_SECTIONS, ids=":".join)
 def test_apply_ff_matches_full_gcd(name, section):
-    # x^2 + t has Res 1, so apply_ff skips the polynomial gcd; (X0^2, t*X1^2)
-    # has Res t^2, and sections through t = 0 or t = oo carry a factor t.
+    # apply over the function field.  x^2 + t has Res 1, so the polynomial
+    # gcd is skipped; (X0^2, t*X1^2) has Res t^2, and sections through t = 0
+    # or t = oo carry a factor t.
     f = load_system_file(SYSTEMS / f"{name}.json").family.maps[0]
-    pt = normalize_ff([parse_tpoly(s) for s in section])
+    pt = normalize([parse_tpoly(s) for s in section])
     for _ in range(5):
-        image = f.apply_ff(pt)
-        assert image == normalize_ff(f.eval_raw(pt.coords))
+        image = f.apply(pt)
+        assert image == normalize(f.eval_raw(pt.coords))
         pt = image
 
 
@@ -366,10 +367,10 @@ def test_apply_ff_matches_full_gcd(name, section):
 def test_apply_ff_matches_full_gcd_on_random_lifts(f, x0, x1):
     assume(f.resultant() != 0)
     assume(any(x0) or any(x1))
-    pt = normalize_ff([TPoly(x0), TPoly(x1)])
+    pt = normalize([TPoly(x0), TPoly(x1)])
     for _ in range(2):
-        image = f.apply_ff(pt)
-        assert image == normalize_ff(f.eval_raw(pt.coords))
+        image = f.apply(pt)
+        assert image == normalize(f.eval_raw(pt.coords))
         pt = image
 
 

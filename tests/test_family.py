@@ -25,7 +25,7 @@ from dynheight.family import (
     variation_sweep,
 )
 from dynheight.polynomial import TPoly, parse_tpoly
-from dynheight.projective import ff_height, normalize, normalize_ff, parse_point
+from dynheight.projective import ff_height, normalize, parse_point
 
 ADAPTIVE = GreenConfig(depth=40, mode="adaptive", target_eps=1e-9)
 
@@ -117,7 +117,7 @@ def test_integer_specialization_matches_fraction_route(lift, coords, drawn):
     except ValidationError:
         assume(False)               # a zero lift or a zero t-resultant
     assume(any(not c.is_zero for c in coords))
-    section = Section(normalize_ff(list(coords)))
+    section = Section(normalize(list(coords)))
     for t0 in (drawn, Fraction(0), Fraction(-3), Fraction(-7, 2), Fraction(5, 3)):
         try:
             expected = _fraction_route_fiber(mp, t0)
@@ -155,7 +155,7 @@ def test_ff_height_degree_oracle():
     f = X2PT.maps[0]
     point = ZERO_SEC.point
     for n in range(1, 9):
-        point = f.apply_ff(point)
+        point = f.apply(point)
         assert ff_height(point) == 2 ** (n - 1)
 
 

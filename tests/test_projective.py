@@ -16,7 +16,6 @@ from dynheight.projective import (
     ff_height,
     local_height_hyperplane,
     normalize,
-    normalize_ff,
     parse_point,
     weil_height,
 )
@@ -85,16 +84,16 @@ def test_local_global_identity(raw):
 
 
 def test_ff_points():
-    p = normalize_ff([parse_tpoly("t"), parse_tpoly("1")])
+    p = normalize([parse_tpoly("t"), parse_tpoly("1")])
     assert ff_height(p) == 1
-    assert ff_height(normalize_ff([parse_tpoly("t^2+1"), parse_tpoly("t")])) == 2
-    assert ff_height(normalize_ff([parse_tpoly("2"), parse_tpoly("3")])) == 0
+    assert ff_height(normalize([parse_tpoly("t^2+1"), parse_tpoly("t")])) == 2
+    assert ff_height(normalize([parse_tpoly("2"), parse_tpoly("3")])) == 0
 
 
 def test_ff_normalization_removes_common_factor():
-    p = normalize_ff([parse_tpoly("t^2+t"), parse_tpoly("t")])
+    p = normalize([parse_tpoly("t^2+t"), parse_tpoly("t")])
     assert [str(c) for c in p.coords] == ["t + 1", "1"]
-    q = normalize_ff([parse_tpoly("-2*t"), parse_tpoly("-4")])
+    q = normalize([parse_tpoly("-2*t"), -4])
     assert [str(c) for c in q.coords] == ["t", "2"]
 
 
@@ -115,15 +114,12 @@ def _point_constructions(path: Path):
 
 
 def test_points_are_built_only_by_normalize():
-    # Morphism.apply and apply_ff bound an image's content by the resultant,
-    # which holds only for primitive input, so only normalize and
-    # normalize_ff may construct the point class.
+    # Morphism.apply bounds an image's content by the resultant, which holds
+    # only for primitive input, so only normalize may construct the point
+    # class, over Q and Q(t) alike.
     src = Path(__file__).resolve().parents[1] / "src" / "dynheight"
-    found = {c for path in sorted(src.glob("*.py")) for c in _point_constructions(path)}
-    assert found == {
-        ("ProjPoint", "projective.py", "normalize"),
-        ("ProjPoint", "projective.py", "normalize_ff"),
-    }
+    found = [c for path in sorted(src.glob("*.py")) for c in _point_constructions(path)]
+    assert found == [("ProjPoint", "projective.py", "normalize")]
 
 
 # -- one content-and-sign rule: content_unit against the three rules it replaced ------
@@ -213,8 +209,12 @@ def test_normalize_matches_integer_rule(raw, scale, bound):
     bounds,
 )
 def test_normalize_ff_matches_polynomial_rule(raw, common, scale, bound):
+    # normalize over the function field: a tuple with a TPoly entry, its
+    # ints read as constants.  An all-int draw is fed as constant TPolys.
     raw = [scale * common * v for v in raw]
-    got = _outcome(lambda: normalize_ff(raw, bound).coords)
+    if not any(isinstance(v, TPoly) for v in raw):
+        raw = [TPoly.const(v) for v in raw]
+    got = _outcome(lambda: normalize(raw, bound).coords)
     assert got == _outcome(_oracle_normalize_ff, raw, bound)
 
 
