@@ -38,6 +38,15 @@ walk takes D one level past the first whose certified tail is below eps;
 the D_i bound every increment, so the stop rule holds by D and each
 finite place is walked once.
 
+Before it builds residues, the walk tries the point's residue-class
+table (_class_table): classes of primitive points mod p^s, s <= 3, up to
+units.  When every class the orbit reaches is resolved (each map sends
+it to one class with one valuation, whatever its lift), the walk steps
+over classes instead of trimmed residues.  Each word gets the same
+valuations either way, so both give the same level sums and values; a
+closed table holds a few states at any depth.  Otherwise the walk falls
+back to trimmed residues.
+
 The canonical height of a rational point on P^1 is the sum of its Green
 values on primitive coordinates over the archimedean place and the bad
 primes; good-reduction primes contribute exactly zero because the
@@ -60,6 +69,7 @@ constant float-accumulation allowance is added on top.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from collections import deque
@@ -102,6 +112,12 @@ BUDGET_ENV_VAR = "DYNHEIGHT_NODE_BUDGET"
 # reported tail bound so that exact identities compared in floats stay
 # inside their own error bars.
 FLOAT_SLACK = 1e-10
+
+# Limits of one attempt at a finite place's residue-class table: the
+# largest s of the classes mod p^s, and the lifts enumerated over all s.
+# Past them the walk steps over trimmed residues.
+CLASS_MAX_S = 3
+CLASS_MAX_LIFTS = 2**10
 
 
 @dataclass(frozen=True)
@@ -347,6 +363,102 @@ def _unit_canonical(coords: tuple[int, ...], p: int, prec: int) -> tuple[int, ..
     raise AssertionError("no unit coordinate after renormalization")
 
 
+def _class_table(system: PolarizedSystem, unit, p: int):
+    """The walk over residue classes of a primitive point at p, or None.
+
+    A class is a unit-canonical tuple mod p^s, so its first unit coordinate
+    is 1.  For s = 1 .. CLASS_MAX_S this builds the classes reachable from
+    unit's class (_close_classes); the first s at which they all resolve
+    gives (start class, expand), expand(class) = (the k child classes,
+    sum_i e_i).  None when no s closes, or once CLASS_MAX_LIFTS lifts are
+    spent.
+    """
+    lifts = 0
+    for s in range(1, CLASS_MAX_S + 1):
+        start = _unit_canonical(tuple(c % p**s for c in unit), p, s)
+        table, lifts = _close_classes(system, start, p, s, lifts)
+        if table is not None:
+            return start, table.__getitem__
+        if lifts > CLASS_MAX_LIFTS:
+            return None
+    return None
+
+
+def _close_classes(system: PolarizedSystem, start, p: int, s: int, lifts: int):
+    """(table, lifts): the classes mod p^s reachable from start, and the lifts spent.
+
+    Map i sends a class to one class with one valuation e_i when F_i(class)
+    is not 0 mod p^s, which fixes e_i < s, and every lift mod p^(s+e_i)
+    with the unit coordinate kept at 1 gives the same unit-canonical class
+    of F_i(x)/p^(e_i) mod p^s.  The table maps each class to (children,
+    sum_i e_i); it is None when some class does not resolve, or when the
+    lifts, p^(e_i*N) per class and map, pass CLASS_MAX_LIFTS.
+    """
+    ps = p**s
+    table: dict = {}
+    todo = [start]
+    while todo:
+        cls = todo.pop()
+        if cls in table:
+            continue
+        j0 = next(j for j, c in enumerate(cls) if c % p)
+        free = [j for j in range(len(cls)) if j != j0]
+        kids = []
+        esum = 0
+        for mp in system.maps:
+            vals = [v % ps for v in mp.eval_raw(cls)]
+            if not any(vals):
+                return None, lifts                  # e_i >= s: unresolved at this s
+            e = min(ord_p(v, p) for v in vals if v)
+            pe = p**e
+            lifts += pe ** len(free)
+            if lifts > CLASS_MAX_LIFTS:
+                return None, lifts
+            images = set()
+            for steps in itertools.product(range(0, ps * pe, ps), repeat=len(free)):
+                x = list(cls)
+                for j, step in zip(free, steps):
+                    x[j] += step
+                images.add(_unit_canonical(
+                    tuple(v % (ps * pe) // pe for v in mp.eval_raw(x)), p, s))
+            if len(images) > 1:
+                return None, lifts                  # the image class is not fixed
+            kids += images
+            esum += e
+        table[cls] = (kids, esum)
+        todo += kids
+    return table, lifts
+
+
+def _residue_step(system: PolarizedSystem, unit, p: int, depth: int, r: int):
+    """The walk over trimmed residues of a primitive point at p: (start, expand).
+
+    A state is (unit-canonical residues, precision): the walk starts with
+    depth*r + 1 digits and cuts every child to prec - r, so states that
+    agree on every digit the remaining levels can read merge.
+    expand(state) = (the k child states, sum_i e_i).
+    """
+    prec0 = depth * r + 1
+    start = (_unit_canonical(tuple(c % p**prec0 for c in unit), p, prec0), prec0)
+
+    def expand(state):
+        cs, prec = state
+        pm = p**prec
+        nprec = prec - r
+        pnm = p**nprec
+        kids = []
+        esum = 0
+        for mp in system.maps:
+            vals = [v % pm for v in mp.eval_raw(cs)]
+            e = min(ord_p(v, p) for v in vals if v)
+            esum += e
+            pe = p**e
+            kids.append((_unit_canonical(tuple((v // pe) % pnm for v in vals), p, nprec), nprec))
+        return kids, esum
+
+    return start, expand
+
+
 def _green_padic(system: PolarizedSystem, coords, p: int, cfg: GreenConfig) -> GreenProfile:
     coords = tuple(int(c) for c in coords)
     if all(c == 0 for c in coords):
@@ -383,35 +495,22 @@ def _green_padic(system: PolarizedSystem, coords, p: int, cfg: GreenConfig) -> G
     budget = resolve_budget(cfg.node_budget)
     if cfg.mode == "fixed" and k * depth > budget:
         # Every level holds a state, so a fixed walk charges at least k
-        # evaluations per level: fail before building depth*r + 1 digits.
+        # evaluations per level: fail before building a table or residues.
         raise BudgetExceededError(
             f"budget exceeded: depth {depth} needs at least {k * depth} nodes > {budget}"
         )
-    # States are (unit-canonical residues, precision): the walk starts with
-    # depth*r + 1 digits and cuts every child to prec - r, so states that
-    # agree on every digit the remaining levels can read merge.  children
-    # records each parent's valuation sum sum_i e_i; level m's valuations
-    # are words * esum summed over level m - 1.
-    prec0 = depth * r + 1
+    # Both walks give every word the valuations of its exact big-integer
+    # images, so they give the same level sums.  A closed class table
+    # (_class_table) has a few states at any depth; else the states are
+    # trimmed residues.  expand records each parent's valuation sum
+    # sum_i e_i; level m's valuations are words * esum over level m - 1.
     pe0 = p**e0
-    start = tuple((c // pe0) % p**prec0 for c in coords)
-    start = (_unit_canonical(start, p, prec0), prec0)
+    unit = tuple(c // pe0 for c in coords)
+    start, expand = _class_table(system, unit, p) or _residue_step(system, unit, p, depth, r)
     esums: dict = {}
 
     def children(state):
-        cs, prec = state
-        pm = p**prec
-        nprec = prec - r
-        pnm = p**nprec
-        kids = []
-        esum = 0
-        for mp in system.maps:
-            vals = [v % pm for v in mp.eval_raw(cs)]
-            e = min(ord_p(v, p) for v in vals if v)
-            esum += e
-            pe = p**e
-            kids.append((_unit_canonical(tuple((v // pe) % pnm for v in vals), p, nprec), nprec))
-        esums[state] = esum
+        kids, esums[state] = expand(state)
         return kids
 
     # The exact value after level m is num / alpha^m; level m's step is
@@ -420,8 +519,7 @@ def _green_padic(system: PolarizedSystem, coords, p: int, cfg: GreenConfig) -> G
     increments: list[float] = []
     parents = {start: 1}
     for m, nodes, level in walk(start, children, k, depth, budget):
-        s = sum(words * esums[state] for state, words in parents.items())
-        esums.clear()
+        s = sum(words * esums.pop(state) for state, words in parents.items())
         parents = level
         num = num * alpha - s
         increments.append(-(s / alpha**m) * lnp)

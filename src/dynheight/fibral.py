@@ -68,6 +68,8 @@ class PermTypeMatrix:
 
     @classmethod
     def from_matrix(cls, rows) -> "PermTypeMatrix":
+        if isinstance(rows, (list, tuple)) and not rows:
+            raise ValidationError("action matrix is empty: an action needs at least one component")
         if not is_perm_type(rows):
             raise ValidationError("matrix is not permutation-type")
         n = len(rows)
@@ -79,15 +81,18 @@ class PermTypeMatrix:
 
 
 def is_perm_type(rows) -> bool:
-    """True when the square 0/1 matrix has exactly one 1 in each column."""
+    """True when the nonempty square matrix of int 0s and 1s has exactly one 1 in each column.
+
+    Entries must be ints: bools and floats such as 1.0 are not matrix entries.
+    """
     if not isinstance(rows, (list, tuple)) or any(not isinstance(r, (list, tuple)) for r in rows):
         return False
     n = len(rows)
-    if any(len(r) != n for r in rows):
+    if n == 0 or any(len(r) != n for r in rows):
         return False
     for r in rows:
         for v in r:
-            if v not in (0, 1):
+            if type(v) is not int or v not in (0, 1):
                 return False
     return all(sum(rows[i][j] for i in range(n)) == 1 for j in range(n))
 
@@ -192,6 +197,10 @@ class SyntheticModel:
     def __post_init__(self):
         if self.alpha <= self.k:
             raise ValidationError("alpha must exceed k")
+        if not self.points:
+            raise ValidationError("a model needs at least one point")
+        if self.seed is not None and type(self.seed) is not int:
+            raise ValidationError(f"seed must be an integer, not {self.seed!r}")
         if len(self.actions) != self.k or len(self.c) != self.n:
             raise ValidationError("inconsistent action/correction data")
         ids = {pt.pid for pt in self.points}
@@ -417,7 +426,7 @@ def model_from_json(text: str) -> SyntheticModel:
             actions=actions,
             c=tuple(Fraction(v) for v in doc["c"]),
             points=points,
-            seed=doc.get("seed"),
+            seed=_json_int(doc["seed"]) if "seed" in doc else None,
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad model file: {exc}") from exc

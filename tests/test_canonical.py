@@ -388,6 +388,50 @@ def test_adaptive_padic_walk_stops_by_m_star_plus_one(drawn, coords, log_eps, de
         assert prof.depth == depth or canonical._converged(system, cfg, prof.increments, prof.chat)
 
 
+def _trimmed_profile(system, coords, p, cfg):
+    """green_profile with the class table giving up: the trimmed-residue walk."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(canonical, "_class_table", lambda *args: None)
+        return green_profile(system, coords, Place(p), cfg)
+
+
+@given(
+    st.one_of(
+        st.tuples(st.just(1), st.lists(_binary_forms, min_size=1, max_size=2)),
+        st.tuples(st.just(2), st.lists(_pn_lift(3, 2, coeffs=2), min_size=1, max_size=2)),
+    ),
+    st.tuples(*[st.integers(-9, 9)] * 3),
+    st.sampled_from(["fixed", "adaptive"]),
+    st.integers(1, 6),
+)
+@example((1, [([1, 0, 0], [0, 0, 2]), ([1, 0, 0, 1], [0, 0, 0, 3])]), (5, 7, 0), "fixed", 6)  # sbad
+@example((1, [([1, 0, 0], [0, 0, 2]), ([1, 0, 0, 1], [0, 0, 0, 3])]), (5, 7, 0), "adaptive", 6)
+@example((2, [[HomogPoly(3, {(2, 0, 0): 1}), HomogPoly(3, {(0, 2, 0): 1}),
+               HomogPoly(3, {(0, 0, 2): 2})]]), (1, 2, 4), "fixed", 5)
+@settings(max_examples=60, deadline=None)
+def test_class_walk_matches_trimmed_walk_and_bruteforce(drawn, coords, mode, depth):
+    # Where the residue-class table closes, its walk gives every word the
+    # valuations of the trimmed walk: the same increments, depth and exact
+    # value, which is the full big-integer word sum.  Both walks run either
+    # way; the table closes on a good share of the draws.
+    dim, lifts = drawn
+    coords = coords[: dim + 1]
+    assume(any(coords))
+    try:
+        if dim == 1:
+            system = validate_system([_binary_morphism(rows) for rows in lifts])
+        else:
+            system = validate_system([Morphism(lift) for lift in lifts])
+    except ValidationError:
+        assume(False)               # a zero lift, a non-morphism or alpha <= k
+    cfg = GreenConfig(depth=depth, target_eps=1e-2, mode=mode)
+    for p in system.bad_primes() if dim == 1 else (2, 3):
+        prof = green_profile(system, coords, Place(p), cfg)
+        trimmed = _trimmed_profile(system, coords, p, cfg)
+        assert prof.exact == trimmed.exact == _padic_green_bruteforce(system, coords, p, prof.depth)
+        assert (prof.increments, prof.depth) == (trimmed.increments, trimmed.depth)
+
+
 def test_higher_dimension_green_and_oracle():
     sq3 = Morphism.from_strings(["X0^2", "X1^2", "X2^2"], dim=2)
     system = validate_system([sq3])
@@ -810,15 +854,22 @@ def test_walk_merges_states_and_charges_distinct_ones():
         list(walk(0, children, 2, 3, 5))
 
 
-def test_padic_budget_counts_distinct_states():
-    # 2^22 or 2^23 words, but a few hundred distinct residue states per level;
-    # the adaptive horizon is m* + 1, m* the first level with tail below eps
+def test_padic_budget_counts_distinct_states(monkeypatch):
+    # 2^22 or 2^23 words, but a few distinct residue classes per level, or a
+    # few hundred trimmed residues when the class table gives up; the
+    # adaptive horizon is m* + 1, m* the first level with tail below eps
     cfg = GreenConfig(depth=60, target_eps=1e-9, mode="adaptive")
     cases = [
-        (2, -math.log(2) / 19, 22, 772, Fraction(-125483462679796, 2384185791015625)),
-        (3, -math.log(3) / 4, 23, 876, Fraction(-2980232238769531, 11920928955078125)),
+        (2, -math.log(2) / 19, 22, 164, 772, Fraction(-125483462679796, 2384185791015625)),
+        (3, -math.log(3) / 4, 23, 214, 876, Fraction(-2980232238769531, 11920928955078125)),
     ]
-    for p, value, depth, nodes, exact in cases:
+    for p, value, depth, class_nodes, _nodes, exact in cases:
+        assert canonical._class_table(SBAD, (5, 7), p) is not None
+        prof = green_profile(SBAD, (5, 7), Place(p), cfg)
+        assert prof.value == pytest.approx(value, abs=1e-9)
+        assert (prof.depth, prof.nodes, prof.exact) == (depth, class_nodes, exact)
+    monkeypatch.setattr(canonical, "_class_table", lambda *args: None)
+    for p, value, depth, _class_nodes, nodes, exact in cases:
         prof = green_profile(SBAD, (5, 7), Place(p), cfg)
         assert prof.value == pytest.approx(value, abs=1e-9)
         assert (prof.depth, prof.nodes, prof.exact) == (depth, nodes, exact)

@@ -65,6 +65,9 @@ MALFORMED_MODELS = {
     "model_id_float": {**MODEL_DOC, "points": [{**MODEL_DOC["points"][0], "id": 0.5}]},
     "model_sigma_float": {**MODEL_DOC, "points": [{**MODEL_DOC["points"][0], "sigma": 1.9}]},
     "model_images_float": {**MODEL_DOC, "points": [{**MODEL_DOC["points"][0], "images": [0.7]}]},
+    # A model has a point, and its seed is a JSON integer or absent.
+    "model_no_points": {**MODEL_DOC, "points": []},
+    "model_seed_list": {**MODEL_DOC, "seed": [1, "x"]},
 }
 
 
@@ -229,6 +232,17 @@ def test_green_adaptive_bad_prime():
     assert abs(float(out.split()[1]) + math.log(2) / 19) < 1e-9
 
 
+def test_deep_fixed_green_at_bad_prime():
+    # -ln 3 / 4 at depth 300: sbad's residue classes at 3 close, so the walk
+    # holds a few classes per level instead of 900-digit residues
+    sbad = str(ROOT / "perfbench" / "systems" / "sbad.json")
+    code, out, err = run_cli(
+        "green", "--system", sbad, "--point", "5:7", "--place", "p3", "--depth", "300",
+        timeout=60,
+    )
+    assert (code, out, err) == (0, "value -0.274653072167\n", "")
+
+
 def test_point_on_divisor_exit_code(files):
     code, _out, err = run_cli(
         "local", "--system", files["monomial"], "--point", "0:1", "--index", "0",
@@ -344,6 +358,9 @@ def test_fibral_solve(files):
         "--actions", "[[1,0],[0,1]]+[[0,1],[1,0]]", "--c", "1,0",
     )
     assert code == 0 and out.strip() == "4/15,1/15"
+    # An empty matrix is named as such, not as a correction of the wrong length.
+    code, _out, err = run_main("fibral", "solve", "--alpha", "5", "--actions", "[]", "--c", "1")
+    assert code == 2 and "action matrix is empty" in err
 
 
 def test_fibral_synth_verify_roundtrip(tmp_path):
@@ -399,6 +416,9 @@ SOLVE = ["fibral", "solve", "--actions", "[[1,0],[0,1]]"]
         SOLVE + ["--alpha", "5", "--c", "x"],
         SOLVE + ["--alpha", "1/2", "--c", "1,1"],
         ["fibral", "solve", "--alpha", "5", "--actions", "5", "--c", "1"],
+        ["fibral", "solve", "--alpha", "5", "--actions", "[[false,true],[true,false]]", "--c", "1,0"],
+        ["fibral", "solve", "--alpha", "5", "--actions", "[[1.0]]", "--c", "1"],
+        ["fibral", "solve", "--alpha", "5", "--actions", "[]", "--c", "1"],
         ["fibral", "synth", "--seed", "1", "--components", "0"],
         ["fibral", "synth", "--seed", "1", "--maps", "0"],
         ["fibral", "synth", "--seed", "1", "--points", "0"],
@@ -424,7 +444,8 @@ SOLVE = ["fibral", "solve", "--actions", "[[1,0],[0,1]]"]
     ],
     ids=[
         "place-p4", "place-foo", "lift-a", "t-range", "t-zero-denominator", "alpha", "c", "alpha-at-most-k",
-        "actions-not-matrix", "components-0", "maps-0", "points-0", "points-below-components",
+        "actions-not-matrix", "actions-bool", "actions-float", "actions-empty",
+        "components-0", "maps-0", "points-0", "points-below-components",
         "depth-0", "huge-coefficient", "green-one-coordinate", "green-one-coordinate-p2",
         "green-three-coordinates", "local-three-coordinates", "samples-0", "samples-negative",
         "height-eps-nan", "commute-eps-nan", "green-eps-nan", "height-eps-inf", "sweep-eps-inf",

@@ -30,6 +30,12 @@ def test_is_perm_type_examples():
     assert is_perm_type([[1, 1], [0, 0]])  # both columns hit row 0
     assert not is_perm_type([[1, 0], [1, 1]])
     assert not is_perm_type([[2, 0], [0, 1]])
+    # Entries are ints: JSON's true/false and 1.0 are not 0/1 entries.
+    assert not is_perm_type([[False, True], [True, False]])
+    assert not is_perm_type([[1.0, 0], [0, 1]])
+    assert not is_perm_type([])
+    with pytest.raises(ValidationError, match="action matrix is empty"):
+        PermTypeMatrix.from_matrix([])
 
 
 def test_row_sum_bounds_examples():
