@@ -2,7 +2,7 @@
 
 The CLI maps these onto process exit codes, so each class carries one:
 validation problems exit 2, bad parameters and points on divisors exit 3,
-exhausted node budgets exit 4.
+exhausted node or factoring budgets exit 4.
 """
 
 
@@ -23,7 +23,7 @@ class NonCommutingError(ValidationError):
 
 
 class BadParameterError(DynHeightError):
-    """Parameter lies outside the good locus, or a section degenerates there."""
+    """Parameter lies outside the good locus."""
 
     exit_code = 3
 
@@ -41,6 +41,6 @@ class IndeterminatePointError(DynHeightError):
 
 
 class BudgetExceededError(DynHeightError):
-    """A word-tree walk would exceed the configured node budget."""
+    """A word-tree walk would exceed its node budget, or factoring its rho cap."""
 
     exit_code = 4

@@ -9,6 +9,7 @@ the product formula holds: for any nonzero rational q the sum of
 log_abs(q, v) over all places is zero.  Only finitely many places
 contribute (the archimedean one plus the primes dividing numerator or
 denominator), so the identity is checkable on a finite support set.
+log_norm(x, v) = ln max_i |x_i|_v is the local norm of an integer tuple.
 
 Everything exact is kept in arbitrary-precision integers or Fractions;
 reals appear only as final logarithmic values in double precision, and all
@@ -21,12 +22,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import BudgetExceededError, ValidationError
 
 __all__ = [
     "Place",
     "ord_p",
     "log_abs",
+    "log_norm",
     "support",
     "is_prime",
     "prime_factors",
@@ -36,6 +38,9 @@ __all__ = [
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Rho steps one prime_factors call may take (a few seconds), past the
+# 955,904 that split 3000000000013 * 1000000000039; more exit 4.
+RHO_MAX_STEPS = 2_000_000
 
 
 def is_prime(n: int) -> bool:
@@ -81,23 +86,29 @@ def _perfect_power(n: int) -> tuple[int, int]:
     return n, 1
 
 
-def _pollard_rho(n: int) -> int:
-    # n composite, not a perfect power and free of the primes in _MR_BASES.
+def _pollard_rho(n: int, steps: int) -> tuple[int, int]:
+    # n composite, not a perfect power and free of the primes in _MR_BASES;
+    # returns a proper factor and the steps left of the call's cap.
     for c in range(1, 64):
         x = y = 2
         d = 1
-        f = lambda v: (v * v + c) % n
         while d == 1:
-            x = f(x)
-            y = f(f(y))
+            if steps == 0:
+                raise BudgetExceededError(
+                    f"cannot factor a {len(str(n))}-digit number within {RHO_MAX_STEPS:,} rho steps"
+                )
+            steps -= 1
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
             d = math.gcd(abs(x - y), n)
         if d != n:
-            return d
+            return d, steps
     raise ArithmeticError(f"failed to factor {n}")
 
 
 def prime_factors(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as a dict prime -> exponent, n != 0."""
+    """Prime factorization of |n| as a dict prime -> exponent, n != 0; at most RHO_MAX_STEPS rho steps."""
     if n == 0:
         raise ValueError("cannot factor zero")
     n = abs(n)
@@ -107,6 +118,7 @@ def prime_factors(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     stack = [n]
+    steps = RHO_MAX_STEPS
     while stack:
         m = stack.pop()
         if m == 1:
@@ -118,7 +130,7 @@ def prime_factors(n: int) -> dict[int, int]:
         if e > 1:
             stack.extend([r] * e)
         else:
-            d = _pollard_rho(m)
+            d, steps = _pollard_rho(m, steps)
             stack.extend((d, m // d))
     return out
 
@@ -164,10 +176,9 @@ class Place:
 
     @classmethod
     def parse(cls, text: str) -> "Place":
-        text = text.strip().lower()
-        if text in ("inf", "infinity", "oo"):
+        if text == "inf":
             return cls()
-        if text.startswith("p") and text[1:].isdecimal() and is_prime(p := parse_int(text[1:])):
+        if text[1:].isdecimal() and is_prime(p := parse_int(text[1:])) and text == f"p{p}":
             return cls.prime(p)
         raise ValidationError(f"cannot parse place {text!r} (use 'inf' or 'pN' with N prime)")
 
@@ -191,14 +202,20 @@ def log_abs(q: Fraction | int, v: Place) -> float:
     """Normalized logarithmic absolute value log|q|_v of a nonzero rational.
 
     math.log handles arbitrary-precision integers, so numerator and
-    denominator are logged separately to avoid float overflow.
+    denominator (1 for an int) are logged separately to avoid float overflow.
     """
-    q = Fraction(q)
     if q == 0:
         raise ValueError("log of zero")
     if v.is_infinite:
         return math.log(abs(q.numerator)) - math.log(q.denominator)
     return -(ord_p(q.numerator, v.p) - ord_p(q.denominator, v.p)) * math.log(v.p)
+
+
+def log_norm(coords, v: Place) -> float:
+    """ln max_i |x_i|_v of integers not all zero: ln max|x_i| at inf, -min ord_p(x_i) * ln p at p."""
+    if v.is_infinite:
+        return math.log(max(abs(c) for c in coords))
+    return -min(ord_p(c, v.p) for c in coords if c) * math.log(v.p)
 
 
 def support(q: Fraction | int) -> list[Place]:

@@ -22,7 +22,10 @@ the base:
   locus on the base.
 
 All three walk the fibers through one loop (_fibers), which reports the
-parameters outside the good locus and the degenerate sections as skipped.
+parameters outside the good locus as skipped; a section, normalized to
+coprime coordinates, specializes to a point at every parameter.  The
+naive heights h and h_T are ln||x||_inf (exactnum.log_norm); the hyperplane
+and boundary local heights are deg D * ln||x||_v - ln|D(x)|_v (log_abs).
 
 Sweep tables render to CSV with the fixed column header t,h_T,point,value,aux
 and 12 significant digits.
@@ -30,7 +33,6 @@ and 12 significant digits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,7 +49,7 @@ from .errors import (
     PointOnDivisorError,
     ValidationError,
 )
-from .exactnum import Place, ord_p
+from .exactnum import INFINITY, Place, log_abs, log_norm
 from .polynomial import TPoly, parse_tpoly
 from .projective import (
     ProjPoint,
@@ -118,10 +120,7 @@ class Section:
         """The point at t = t0: b^D * P_i(a/b) for t0 = a/b, D the largest degree, normalized."""
         t0 = Fraction(t0)
         deg = max(p.degree for p in self.point.coords)
-        vals = [p.hom(t0, deg) for p in self.point.coords]
-        if all(v == 0 for v in vals):
-            raise BadParameterError(f"section degenerates at t={t0}")
-        return normalize(vals)
+        return normalize([p.hom(t0, deg) for p in self.point.coords])
 
     def __str__(self) -> str:
         return str(self.point)
@@ -154,6 +153,8 @@ def ff_canonical_height(system: ParamSystem, section: Section, n: int) -> FFHeig
     """Exact word iteration of the section over Q(t), averaged by alpha^n."""
     if n < 0:
         raise ValidationError("depth must be nonnegative")
+    if section.point.dim != 1:
+        raise ValidationError("a section must be a point of P^1")
 
     def children(point: ProjPoint) -> list[ProjPoint]:
         return [mp.apply(point) for mp in system.maps]
@@ -168,7 +169,7 @@ def ff_canonical_height(system: ParamSystem, section: Section, n: int) -> FFHeig
 def base_height(t0: Fraction) -> float:
     """Naive height of t0 as a point of P^1(Q): ln max(|a|, b) for t0 = a/b."""
     t0 = Fraction(t0)
-    return math.log(max(abs(t0.numerator), t0.denominator))
+    return log_norm((t0.numerator, t0.denominator), INFINITY)
 
 
 @dataclass
@@ -199,42 +200,21 @@ class VariationSweep:
     skipped: list[tuple[Fraction, str]]
 
 
-def _upper_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    # Andrew monotone chain, upper side; points sorted by x then y.
-    hull: list[tuple[float, float]] = []
-    for pt in points:
-        while len(hull) >= 2:
-            ox, oy = hull[-2]
-            ax, ay = hull[-1]
-            if (ax - ox) * (pt[1] - oy) - (ay - oy) * (pt[0] - ox) >= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    return hull
-
-
 def _fit_envelope(train: list[SweepRow]) -> tuple[float, float]:
     """Two-pass max-slope envelope fit.
 
-    Pass 1 takes c1 as the slope of the rightmost upper-convex-hull edge of
-    the training cloud (its asymptotic growth rate); pass 2 takes the least
-    c2 making D <= c1*h + c2 hold on all training rows.  A flat cloud gives
-    c1 = c2 = 0 exactly.  Both constants are clamped to be nonnegative.
+    Pass 1 takes c1 as the least slope from any row of smaller h to the top
+    row R at the largest h: the slope of the rightmost upper-convex-hull edge
+    of the training cloud (its asymptotic growth rate), 0 if no h is smaller.
+    Pass 2 takes the least c2 making D <= c1*h + c2 hold on all training
+    rows.  A flat cloud gives c1 = c2 = 0 exactly.  Both constants are
+    clamped to be nonnegative.
     """
     if not train:
         return 0.0, 0.0
-    best: dict[float, float] = {}
-    for r in train:
-        best[r.h_t] = max(best.get(r.h_t, -math.inf), r.value)
-    pts = sorted(best.items())
-    c1 = 0.0
-    if len(pts) >= 2:
-        hull = _upper_hull(pts)
-        if len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            if x1 > x0:
-                c1 = max(0.0, (y1 - y0) / (x1 - x0))
+    top = max(train, key=lambda r: (r.h_t, r.value))
+    slopes = [(top.value - r.value) / (top.h_t - r.h_t) for r in train if r.h_t < top.h_t]
+    c1 = max(0.0, min(slopes, default=0.0))
     c2 = max(0.0, max(r.value - c1 * r.h_t for r in train))
     return c1, c2
 
@@ -249,9 +229,11 @@ def _split_rows(rows: list[SweepRow]) -> tuple[list[SweepRow], list[SweepRow]]:
 def _fibers(system: ParamSystem, sections, t_samples, skipped: list):
     """Yield (t0, fiber, x_t) for each parameter and each section, in order.
 
-    A t0 outside the good locus, or a section degenerating at t0, is
-    appended to skipped as (t0, reason) instead.
+    A t0 outside the good locus is appended to skipped as (t0, reason)
+    instead.
     """
+    if any(s.point.dim != 1 for s in sections):
+        raise ValidationError("a section must be a point of P^1")
     for t0 in t_samples:
         t0 = Fraction(t0)
         try:
@@ -260,12 +242,7 @@ def _fibers(system: ParamSystem, sections, t_samples, skipped: list):
             skipped.append((t0, str(exc)))
             continue
         for section in sections:
-            try:
-                x_t = section.specialize_at(t0)
-            except BadParameterError as exc:
-                skipped.append((t0, str(exc)))
-                continue
-            yield t0, fiber, x_t
+            yield t0, fiber, section.specialize_at(t0)
 
 
 def variation_sweep(
@@ -342,10 +319,7 @@ def boundary_local_height(locus: TPoly, t0: Fraction, v: Place) -> float:
     r_hom = locus.hom(t0, deg)
     if r_hom == 0:
         raise BadParameterError(f"t={t0} on boundary")
-    if v.is_infinite:
-        return deg * math.log(max(abs(a), b)) - math.log(abs(r_hom))
-    # a and b are coprime, so max(|a|_p, |b|_p) = 1.
-    return ord_p(r_hom, v.p) * math.log(v.p)
+    return deg * log_norm((a, b), v) - log_abs(r_hom, v)
 
 
 @dataclass
@@ -369,6 +343,8 @@ def local_variation_sweep(
     local height of the parameter.  The empirical constant is the max of
     |value| / max(1, aux) over the rows.
     """
+    if not 0 <= j <= 1:
+        raise ValidationError(f"coordinate index {j} out of range")
     cfg = cfg or GreenConfig()
     rows: list[SweepRow] = []
     skipped: list[tuple[Fraction, str]] = []

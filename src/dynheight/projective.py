@@ -23,12 +23,11 @@ coordinate degree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PointOnDivisorError, ValidationError
-from .exactnum import Place, clear_denominators, ord_p
+from .exactnum import INFINITY, Place, clear_denominators, log_abs, log_norm
 from .polynomial import TPoly, content_unit
 
 __all__ = [
@@ -112,7 +111,7 @@ def parse_point(text: str) -> ProjPoint:
 
 def weil_height(point: ProjPoint) -> float:
     """Naive logarithmic height: ln max_i |x_i| on primitive coordinates."""
-    return math.log(max(abs(c) for c in point.coords))
+    return log_norm(point.coords, INFINITY)
 
 
 def local_height_hyperplane(point: ProjPoint, j: int, v: Place) -> float:
@@ -122,11 +121,7 @@ def local_height_hyperplane(point: ProjPoint, j: int, v: Place) -> float:
         raise ValidationError(f"coordinate index {j} out of range")
     if coords[j] == 0:
         raise PointOnDivisorError("point on divisor")
-    if v.is_infinite:
-        return math.log(max(abs(c) for c in coords)) - math.log(abs(coords[j]))
-    p = v.p
-    min_ord = min(ord_p(c, p) for c in coords if c != 0)
-    return (ord_p(coords[j], p) - min_ord) * math.log(p)
+    return log_norm(coords, v) - log_abs(coords[j], v)
 
 
 def ff_height(point: ProjPoint) -> int:

@@ -284,6 +284,17 @@ def test_huge_fixed_depth_at_bad_prime_exits_4():
     assert err == "error: budget exceeded: depth 10000000 needs at least 20000000 nodes > 10000000\n"
 
 
+def test_unfactorable_resultant_exits_4(tmp_path):
+    # A 37-digit semiprime with two 19-digit factors: Pollard rho would need
+    # about 10^9 steps; the step cap stops validate in a few seconds.
+    n = 1000000000000000003 * 3000000000000000037
+    path = tmp_path / "semiprime.json"
+    path.write_text(json.dumps({"space": {"dim": 1}, "maps": [{"lift": ["X0^2+X1^2", f"{n}*X1^2"]}]}))
+    code, _out, err = run_cli("validate", "--system", str(path), timeout=30)
+    assert code == 4
+    assert err == "error: cannot factor a 37-digit number within 2,000,000 rho steps\n"
+
+
 def test_bad_budget_env_exit_2(files):
     code, _out, err = run_cli(
         "height", "--system", files["monomial"], "--point", "2:1", "--depth", "3",
@@ -402,6 +413,9 @@ def test_determinism_byte_identical(files, tmp_path):
 
 
 SOLVE = ["fibral", "solve", "--actions", "[[1,0],[0,1]]"]
+# t = 0 is outside the good locus of ty2_family.json: every fiber is skipped,
+# so these arguments must be checked before the fiber loop.
+TY2_AT_0 = ["--system", str(ROOT / "scripts/systems/ty2_family.json"), "--t", "0"]
 
 
 @pytest.mark.parametrize(
@@ -439,6 +453,11 @@ SOLVE = ["fibral", "solve", "--actions", "[[1,0],[0,1]]"]
         ["sweep", "--system", "{x2pt}", "--t", "+--2..2"],
         ["sweep", "--system", "{x2pt}", "--t", "±-2..2"],
         ["green", "--system", "{monomial}", "--point", "2:1", "--place", f"p{LONG}"],
+        ["green", "--system", "{monomial}", "--point", "2:1", "--place", "infinity"],
+        ["local-sweep", *TY2_AT_0, "--place", "p2", "--index", "7"],
+        ["sweep", *TY2_AT_0, "--point", "1:2:3"],
+        ["ratio", *TY2_AT_0, "--point", "1:2:3", "--ff-depth", "0"],
+        ["local-sweep", *TY2_AT_0, "--point", "1:2:3", "--place", "p2"],
         *(["validate", "--system", f"{{{name}}}"] for name in MALFORMED_SYSTEMS),
         *(["fibral", "verify", "--model", f"{{{name}}}"] for name in MALFORMED_MODELS),
     ],
@@ -449,7 +468,8 @@ SOLVE = ["fibral", "solve", "--actions", "[[1,0],[0,1]]"]
         "depth-0", "huge-coefficient", "green-one-coordinate", "green-one-coordinate-p2",
         "green-three-coordinates", "local-three-coordinates", "samples-0", "samples-negative",
         "height-eps-nan", "commute-eps-nan", "green-eps-nan", "height-eps-inf", "sweep-eps-inf",
-        "t-sign-after-plus-minus", "t-sign-after-pm", "place-too-long",
+        "t-sign-after-plus-minus", "t-sign-after-pm", "place-too-long", "place-infinity",
+        "local-sweep-index-7", "sweep-section-p2", "ratio-section-p2", "local-sweep-section-p2",
         *MALFORMED_SYSTEMS, *MALFORMED_MODELS,
     ],
 )

@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from dynheight import exactnum
+from dynheight.errors import BudgetExceededError, ValidationError
 from dynheight.exactnum import (
     INFINITY,
     Place,
     clear_denominators,
     is_prime,
     log_abs,
+    log_norm,
     ord_p,
     prime_factors,
     support,
@@ -49,6 +52,20 @@ def test_place_construction():
     assert str(Place.prime(3)) == "p3"
 
 
+@pytest.mark.parametrize("text", ["infinity", "oo", "INF", "P2", " p2", "p02", "p\u0662", "q2", "p", "p4", "2"])
+def test_place_has_one_spelling(text):
+    # Exactly "inf" and "p<prime>", as README and the error message say.
+    with pytest.raises(ValidationError, match="use 'inf' or 'pN' with N prime"):
+        Place.parse(text)
+
+
+def test_log_norm_examples():
+    assert log_norm((12, -18, 0), INFINITY) == math.log(18)
+    assert log_norm((12, -18, 0), Place.prime(2)) == -math.log(2)
+    assert log_norm((12, -18, 0), Place.prime(3)) == -math.log(3)
+    assert repr(log_norm((3, 4), Place.prime(2))) == "0.0"      # a primitive tuple
+
+
 def test_prime_factors():
     assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
     assert prime_factors(-7) == {7: 1}
@@ -81,6 +98,19 @@ def test_prime_factors_large_prime_powers():
     assert prime_factors(100000007**2) == {100000007: 2}
     assert prime_factors((2**61 - 1) ** 2) == {2**61 - 1: 2}
     assert prime_factors(1000003**3 * 1000033) == {1000003: 3, 1000033: 1}
+
+
+def test_prime_factors_within_the_rho_cap():
+    # The hardest split the cap is sized for: 955,904 rho steps.
+    assert prime_factors(3000000000013 * 1000000000039) == {1000000000039: 1, 3000000000013: 1}
+
+
+def test_prime_factors_past_the_rho_cap(monkeypatch):
+    # The cap counts every rho step of one call, across its composites.
+    monkeypatch.setattr(exactnum, "RHO_MAX_STEPS", 100)
+    assert prime_factors(43 * 47 * 53 * 59) == {43: 1, 47: 1, 53: 1, 59: 1}
+    with pytest.raises(BudgetExceededError, match="cannot factor a 19-digit number within 100 rho steps"):
+        prime_factors(1000000007 * 1000000009)
 
 
 nonzero_rationals = st.fractions(

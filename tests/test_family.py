@@ -11,10 +11,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from dynheight.canonical import GreenConfig, canonical_height
 from dynheight.dynsys import HomogPoly, Morphism
 from dynheight.errors import BadParameterError, ValidationError
-from dynheight.exactnum import INFINITY, Place, clear_denominators
+from dynheight.exactnum import INFINITY, Place, clear_denominators, ord_p
 from dynheight.family import (
     ParamSystem,
     Section,
+    SweepRow,
+    _fit_envelope,
     base_height,
     boundary_local_height,
     ff_canonical_height,
@@ -132,11 +134,24 @@ def test_integer_specialization_matches_fraction_route(lift, coords, drawn):
         else:
             assert specialize(family, t0).maps == (expected,)
         vals = [_horner(c, t0) for c in section.point.coords]
-        if not any(vals):
-            with pytest.raises(BadParameterError, match="degenerates"):
-                section.specialize_at(t0)
-        else:
-            assert section.specialize_at(t0) == normalize(vals)
+        assert section.specialize_at(t0) == normalize(vals)
+
+
+@given(
+    st.lists(_tpolys, min_size=2, max_size=3).filter(lambda cs: any(not c.is_zero for c in cs)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.booleans(),
+)
+def test_normalized_section_specializes_everywhere(coords, t0, shared_root):
+    # normalize divides out the coordinates' gcd in Q[t], so they never all
+    # vanish at a rational t0, even when the raw coordinates share the
+    # factor b*t - a and t0 = a/b is its root.
+    if shared_root:
+        coords = [c * TPoly((-t0.numerator, t0.denominator)) for c in coords]
+    section = Section(normalize(coords))
+    point = section.specialize_at(t0)
+    assert any(point.coords)
+    assert point == normalize([_horner(c, t0) for c in section.point.coords])
 
 
 def test_section_specialization():
@@ -299,3 +314,54 @@ def test_base_height():
     assert base_height(Fraction(10)) == pytest.approx(math.log(10))
     assert base_height(Fraction(1)) == 0.0
     assert base_height(Fraction(2, 3)) == pytest.approx(math.log(3))
+
+
+def _reference_boundary_local_height(locus, t0, v):
+    a, b = t0.numerator, t0.denominator
+    r_hom = locus.hom(t0, locus.degree)
+    if v.is_infinite:
+        return locus.degree * math.log(max(abs(a), b)) - math.log(abs(r_hom))
+    return ord_p(r_hom, v.p) * math.log(v.p)
+
+
+@given(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=5).map(TPoly).filter(bool),
+    st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**3),
+)
+def test_base_heights_match_the_separate_formulas(locus, t0):
+    # base_height and boundary_local_height are log_norm less log_abs; they
+    # keep the bits (and the sign of zero) of the formulas they replaced.
+    assert base_height(t0).hex() == math.log(max(abs(t0.numerator), t0.denominator)).hex()
+    assume(locus.hom(t0, locus.degree) != 0)
+    for v in (INFINITY, Place.prime(2), Place.prime(3), Place.prime(5)):
+        assert boundary_local_height(locus, t0, v).hex() == _reference_boundary_local_height(locus, t0, v).hex()
+
+
+def _hull_fit_envelope(train):
+    # The convex-hull fit _fit_envelope replaced: c1 is the slope of the last
+    # edge of the upper hull (Andrew's monotone chain) of the per-h maxima.
+    best = {}
+    for r in train:
+        best[r.h_t] = max(best.get(r.h_t, -math.inf), r.value)
+    hull = []
+    for pt in sorted(best.items()):
+        while len(hull) >= 2:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            if (ax - ox) * (pt[1] - oy) - (ay - oy) * (pt[0] - ox) >= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    c1 = 0.0
+    if len(hull) >= 2:
+        (x0, y0), (x1, y1) = hull[-2], hull[-1]
+        c1 = max(0.0, (y1 - y0) / (x1 - x0))
+    return c1, max(0.0, max(r.value - c1 * r.h_t for r in train))
+
+
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(-20, 20)), min_size=1, max_size=30))
+def test_envelope_slope_matches_the_hull_fit(cloud):
+    # On small integers every slope is one correctly rounded division, so
+    # the least slope to the top row and the last hull edge agree exactly.
+    train = [SweepRow(Fraction(i), float(h), "0:1", float(d), 0.0) for i, (h, d) in enumerate(cloud)]
+    assert _fit_envelope(train) == _hull_fit_envelope(train)

@@ -10,7 +10,7 @@ from hypothesis import assume, given, strategies as st
 
 from dynheight.dynsys import HomogPoly, Morphism
 from dynheight.errors import PointOnDivisorError, ValidationError
-from dynheight.exactnum import INFINITY, Place, clear_denominators, prime_factors
+from dynheight.exactnum import INFINITY, Place, clear_denominators, ord_p, prime_factors
 from dynheight.polynomial import TPoly, parse_tpoly
 from dynheight.projective import (
     ff_height,
@@ -81,6 +81,32 @@ def test_local_global_identity(raw):
                 places.update(Place.prime(q) for q in prime_factors(coord))
         total = math.fsum(local_height_hyperplane(p, j, v) for v in places)
         assert abs(total - weil_height(p)) < 1e-12
+
+
+def _reference_weil_height(point):
+    return math.log(max(abs(c) for c in point.coords))
+
+
+def _reference_local_height_hyperplane(point, j, v):
+    coords = point.coords
+    if v.is_infinite:
+        return math.log(max(abs(c) for c in coords)) - math.log(abs(coords[j]))
+    min_ord = min(ord_p(c, v.p) for c in coords if c != 0)
+    return (ord_p(coords[j], v.p) - min_ord) * math.log(v.p)
+
+
+PLACES = [INFINITY, Place.prime(2), Place.prime(3), Place.prime(5)]
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=4).filter(any))
+def test_standard_heights_match_the_separate_formulas(raw):
+    # weil_height and local_height_hyperplane are log_norm less log_abs; they
+    # keep the bits (and the sign of zero) of the formulas they replaced.
+    p = normalize(raw)
+    assert weil_height(p).hex() == _reference_weil_height(p).hex()
+    for j in (j for j, c in enumerate(p.coords) if c):
+        for v in PLACES:
+            assert local_height_hyperplane(p, j, v).hex() == _reference_local_height_hyperplane(p, j, v).hex()
 
 
 def test_ff_points():
