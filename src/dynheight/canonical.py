@@ -23,7 +23,9 @@ matches the numpy step over the whole tree (used for k >= 2, and the
 reference in the tests) bit for bit when the lift's exponents are at most
 2; above that values, increments and tails agree within FLOAT_SLACK.
 Floats never merge, so the merging walk() serves only the exact walks:
-the finite places, the oracle and the function-field height.
+the finite places, the oracle and the function-field height.  Its levels
+carry total, the sum of words * weight over the states expanded: the
+valuation sum sum_i e_i at a finite place, the degree sum over Q(t).
 
 On every P^N a finite-place step reads at most r = max_{i,j} ord_p(R_ij)
 digits, R_ij the integers of the Nullstellensatz certificates
@@ -167,24 +169,30 @@ def charge_level(nodes: int, count: int, m: int, budget: int) -> int:
     return nodes
 
 
-def walk(root, children, k: int, depth: int, budget: int):
+def walk(root, step, k: int, depth: int, budget: int):
     """The word tree below root with equal states merged, level by level.
 
-    children(state) returns the k child states.  For m = 1..depth this
-    yields (m, nodes, level), where level maps each distinct state at depth
-    m to the number of words that reach it, and nodes counts the map
-    evaluations so far: k per distinct state expanded.
+    step(state) returns (the k child states, weight).  For m = 1..depth this
+    yields (m, nodes, level, total), where level maps each distinct state at
+    depth m to the number of words that reach it, total sums words * weight
+    over the states of depth m - 1 just expanded, and nodes counts the map
+    evaluations so far: k per distinct state expanded.  The finite-place
+    walk reads total as level m's valuation sum, the function-field height
+    as level m's degree sum; the oracle's weight is 0.
     """
     level = {root: 1}
     nodes = 0
     for m in range(1, depth + 1):
         nodes = charge_level(nodes, k * len(level), m, budget)
         nxt: dict = {}
+        total = 0
         for state, words in level.items():
-            for child in children(state):
+            kids, weight = step(state)
+            total += words * weight
+            for child in kids:
                 nxt[child] = nxt.get(child, 0) + words
         level = nxt
-        yield m, nodes, level
+        yield m, nodes, level, total
 
 
 def geom_tail(system: PolarizedSystem, chat: float, m: int) -> float:
@@ -367,81 +375,70 @@ def _class_table(system: PolarizedSystem, unit, p: int):
     """The walk over residue classes of a primitive point at p, or None.
 
     A class is a unit-canonical tuple mod p^s, so its first unit coordinate
-    is 1.  For s = 1 .. CLASS_MAX_S this builds the classes reachable from
-    unit's class (_close_classes); the first s at which they all resolve
-    gives (start class, expand), expand(class) = (the k child classes,
-    sum_i e_i).  None when no s closes, or once CLASS_MAX_LIFTS lifts are
-    spent.
+    is 1.  Map i sends a class to one class with one valuation e_i when
+    F_i(class) is not 0 mod p^s, which fixes e_i < s, and every lift mod
+    p^(s+e_i) with the unit coordinate kept at 1 gives the same
+    unit-canonical class of F_i(x)/p^(e_i) mod p^s.  For s = 1 ..
+    CLASS_MAX_S this searches the classes reachable from unit's class; the
+    first s at which they all resolve gives (start class, step),
+    step(class) = (the k child classes, sum_i e_i).  None when no s closes,
+    or once the lifts, p^(e_i*N) per class and map, pass CLASS_MAX_LIFTS.
     """
     lifts = 0
     for s in range(1, CLASS_MAX_S + 1):
-        start = _unit_canonical(tuple(c % p**s for c in unit), p, s)
-        table, lifts = _close_classes(system, start, p, s, lifts)
-        if table is not None:
+        ps = p**s
+        start = _unit_canonical(tuple(c % ps for c in unit), p, s)
+        table: dict = {}
+        todo = [start]
+        while todo:
+            cls = todo.pop()
+            if cls in table:
+                continue
+            j0 = next(j for j, c in enumerate(cls) if c % p)
+            free = [j for j in range(len(cls)) if j != j0]
+            kids = []
+            esum = 0
+            for mp in system.maps:
+                vals = [v % ps for v in mp.eval_raw(cls)]
+                if not any(vals):
+                    break                           # e_i >= s: unresolved at this s
+                e = min(ord_p(v, p) for v in vals if v)
+                pe = p**e
+                lifts += pe ** len(free)
+                if lifts > CLASS_MAX_LIFTS:
+                    return None
+                images = set()
+                for shifts in itertools.product(range(0, ps * pe, ps), repeat=len(free)):
+                    x = list(cls)
+                    for j, shift in zip(free, shifts):
+                        x[j] += shift
+                    images.add(_unit_canonical(
+                        tuple(v % (ps * pe) // pe for v in mp.eval_raw(x)), p, s))
+                if len(images) > 1:
+                    break                           # the image class is not fixed
+                kids += images
+                esum += e
+            if len(kids) < system.k:
+                break                               # cls does not resolve: try s + 1
+            table[cls] = (kids, esum)
+            todo += kids
+        else:
             return start, table.__getitem__
-        if lifts > CLASS_MAX_LIFTS:
-            return None
     return None
 
 
-def _close_classes(system: PolarizedSystem, start, p: int, s: int, lifts: int):
-    """(table, lifts): the classes mod p^s reachable from start, and the lifts spent.
-
-    Map i sends a class to one class with one valuation e_i when F_i(class)
-    is not 0 mod p^s, which fixes e_i < s, and every lift mod p^(s+e_i)
-    with the unit coordinate kept at 1 gives the same unit-canonical class
-    of F_i(x)/p^(e_i) mod p^s.  The table maps each class to (children,
-    sum_i e_i); it is None when some class does not resolve, or when the
-    lifts, p^(e_i*N) per class and map, pass CLASS_MAX_LIFTS.
-    """
-    ps = p**s
-    table: dict = {}
-    todo = [start]
-    while todo:
-        cls = todo.pop()
-        if cls in table:
-            continue
-        j0 = next(j for j, c in enumerate(cls) if c % p)
-        free = [j for j in range(len(cls)) if j != j0]
-        kids = []
-        esum = 0
-        for mp in system.maps:
-            vals = [v % ps for v in mp.eval_raw(cls)]
-            if not any(vals):
-                return None, lifts                  # e_i >= s: unresolved at this s
-            e = min(ord_p(v, p) for v in vals if v)
-            pe = p**e
-            lifts += pe ** len(free)
-            if lifts > CLASS_MAX_LIFTS:
-                return None, lifts
-            images = set()
-            for steps in itertools.product(range(0, ps * pe, ps), repeat=len(free)):
-                x = list(cls)
-                for j, step in zip(free, steps):
-                    x[j] += step
-                images.add(_unit_canonical(
-                    tuple(v % (ps * pe) // pe for v in mp.eval_raw(x)), p, s))
-            if len(images) > 1:
-                return None, lifts                  # the image class is not fixed
-            kids += images
-            esum += e
-        table[cls] = (kids, esum)
-        todo += kids
-    return table, lifts
-
-
 def _residue_step(system: PolarizedSystem, unit, p: int, depth: int, r: int):
-    """The walk over trimmed residues of a primitive point at p: (start, expand).
+    """The walk over trimmed residues of a primitive point at p: (start, step).
 
     A state is (unit-canonical residues, precision): the walk starts with
     depth*r + 1 digits and cuts every child to prec - r, so states that
     agree on every digit the remaining levels can read merge.
-    expand(state) = (the k child states, sum_i e_i).
+    step(state) = (the k child states, sum_i e_i).
     """
     prec0 = depth * r + 1
     start = (_unit_canonical(tuple(c % p**prec0 for c in unit), p, prec0), prec0)
 
-    def expand(state):
+    def step(state):
         cs, prec = state
         pm = p**prec
         nprec = prec - r
@@ -456,7 +453,7 @@ def _residue_step(system: PolarizedSystem, unit, p: int, depth: int, r: int):
             kids.append((_unit_canonical(tuple((v // pe) % pnm for v in vals), p, nprec), nprec))
         return kids, esum
 
-    return start, expand
+    return start, step
 
 
 def _green_padic(system: PolarizedSystem, coords, p: int, cfg: GreenConfig) -> GreenProfile:
@@ -502,25 +499,16 @@ def _green_padic(system: PolarizedSystem, coords, p: int, cfg: GreenConfig) -> G
     # Both walks give every word the valuations of its exact big-integer
     # images, so they give the same level sums.  A closed class table
     # (_class_table) has a few states at any depth; else the states are
-    # trimmed residues.  expand records each parent's valuation sum
-    # sum_i e_i; level m's valuations are words * esum over level m - 1.
+    # trimmed residues.  Each step weighs a state by its valuation sum
+    # sum_i e_i, so walk's total is level m's valuation sum.
     pe0 = p**e0
     unit = tuple(c // pe0 for c in coords)
-    start, expand = _class_table(system, unit, p) or _residue_step(system, unit, p, depth, r)
-    esums: dict = {}
-
-    def children(state):
-        kids, esums[state] = expand(state)
-        return kids
-
+    start, step = _class_table(system, unit, p) or _residue_step(system, unit, p, depth, r)
     # The exact value after level m is num / alpha^m; level m's step is
     # s / alpha^m, and s / alpha^m as an int division is float(Fraction(s, alpha^m)).
     num = -e0
     increments: list[float] = []
-    parents = {start: 1}
-    for m, nodes, level in walk(start, children, k, depth, budget):
-        s = sum(words * esums.pop(state) for state, words in parents.items())
-        parents = level
+    for m, nodes, _level, s in walk(start, step, k, depth, budget):
         num = num * alpha - s
         increments.append(-(s / alpha**m) * lnp)
         if _converged(system, cfg, increments, chat):
@@ -598,15 +586,15 @@ def canonical_height_oracle_detailed(
     naive = functools.cache(weil_height)
     c_measured = 0.0
 
-    def children(pt: ProjPoint) -> list[ProjPoint]:
+    def step(pt: ProjPoint) -> tuple[list[ProjPoint], int]:
         nonlocal c_measured
         kids = [mp.apply(pt) for mp in system.maps]
         resid = abs(math.fsum(naive(q) for q in kids) - alpha * naive(pt))
         c_measured = max(c_measured, resid)
-        return kids
+        return kids, 0
 
     level = {point: 1}
-    for _m, _nodes, level in walk(point, children, system.k, n, resolve_budget(None)):
+    for _m, _nodes, level, _total in walk(point, step, system.k, n, resolve_budget(None)):
         pass
     # Each weight mult / alpha^n is at most 1 and correctly rounded, however
     # far word counts and alpha^n outgrow the float range.

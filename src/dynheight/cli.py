@@ -10,7 +10,8 @@ Sweep tables are CSV with the fixed header t,h_T,point,value,aux and 12
 significant digits.  All randomness is seeded and echoed in the output.
 
 Exit codes: 0 success, 2 validation error, 3 bad parameter or point on
-divisor, 4 node budget exceeded.
+divisor, 4 node budget exceeded or a number too hard to factor (Pollard
+rho stops at exactnum.RHO_MAX_STEPS steps per factorization).
 """
 
 from __future__ import annotations
@@ -200,13 +201,15 @@ def validate(system_path):
     sf = load_system_file(system_path)
     s = sf.system or sf.family
     kind, dim = ("system", s.dim) if sf.family is None else ("family", 1)
-    click.echo(f"{kind} on P^{dim}: k={s.k} alpha={s.alpha} degrees={[m.degree for m in s.maps]}")
+    # Print once every line is known: a validate that fails prints nothing.
+    lines = [f"{kind} on P^{dim}: k={s.k} alpha={s.alpha} degrees={[m.degree for m in s.maps]}"]
     if sf.family is not None:
-        click.echo(f"good locus R(t) = {s.good_locus}")
+        lines.append(f"good locus R(t) = {s.good_locus}")
         if sf.section is not None:
-            click.echo(f"section: {sf.section}")
+            lines.append(f"section: {sf.section}")
     elif dim == 1:
-        click.echo(f"bad primes: {s.bad_primes()}")
+        lines.append(f"bad primes: {s.bad_primes()}")
+    click.echo("\n".join(lines))
 
 
 @cli.command()

@@ -156,12 +156,12 @@ def ff_canonical_height(system: ParamSystem, section: Section, n: int) -> FFHeig
     if section.point.dim != 1:
         raise ValidationError("a section must be a point of P^1")
 
-    def children(point: ProjPoint) -> list[ProjPoint]:
-        return [mp.apply(point) for mp in system.maps]
+    def step(point: ProjPoint) -> tuple[list[ProjPoint], int]:
+        kids = [mp.apply(point) for mp in system.maps]
+        return kids, sum(ff_height(kid) for kid in kids)
 
     value = prev = Fraction(ff_height(section.point))
-    for m, _nodes, level in walk(section.point, children, system.k, n, resolve_budget(None)):
-        total = sum(words * ff_height(point) for point, words in level.items())
+    for m, _nodes, _level, total in walk(section.point, step, system.k, n, resolve_budget(None)):
         prev, value = value, Fraction(total, system.alpha**m)
     return FFHeightResult(value, value - prev, n)
 

@@ -428,5 +428,5 @@ def model_from_json(text: str) -> SyntheticModel:
             points=points,
             seed=_json_int(doc["seed"]) if "seed" in doc else None,
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad model file: {exc}") from exc

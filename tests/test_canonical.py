@@ -839,19 +839,21 @@ def test_arch_walks_match_pinned_bits():
 def test_walk_merges_states_and_charges_distinct_ones():
     expanded = []
 
-    def children(s):
+    def step(s):
         expanded.append(s)
-        return (s + 1, s + 2)
+        return (s + 1, s + 2), 10 * s + 1
 
-    levels = [(m, nodes, dict(level)) for m, nodes, level in walk(0, children, 2, 3, 100)]
+    levels = [(m, nodes, dict(level), total) for m, nodes, level, total in walk(0, step, 2, 3, 100)]
+    # total sums words * weight over the states just expanded: 1*1; 1*11 +
+    # 1*21; 1*21 + 2*31 + 1*41
     assert levels == [
-        (1, 2, {1: 1, 2: 1}),
-        (2, 6, {2: 1, 3: 2, 4: 1}),
-        (3, 12, {3: 1, 4: 3, 5: 3, 6: 1}),
+        (1, 2, {1: 1, 2: 1}, 1),
+        (2, 6, {2: 1, 3: 2, 4: 1}, 32),
+        (3, 12, {3: 1, 4: 3, 5: 3, 6: 1}, 124),
     ]
     assert expanded == [0, 1, 2, 2, 3, 4]  # each distinct state once per level
     with pytest.raises(BudgetExceededError, match="depth 2 needs 6 nodes > 5"):
-        list(walk(0, children, 2, 3, 5))
+        list(walk(0, step, 2, 3, 5))
 
 
 def test_padic_budget_counts_distinct_states(monkeypatch):

@@ -68,6 +68,11 @@ MALFORMED_MODELS = {
     # A model has a point, and its seed is a JSON integer or absent.
     "model_no_points": {**MODEL_DOC, "points": []},
     "model_seed_list": {**MODEL_DOC, "seed": [1, "x"]},
+    # json.dumps writes the floats inf and -inf as Infinity and -Infinity.
+    "model_alpha_inf": {**MODEL_DOC, "alpha": math.inf},
+    "model_alpha_minus_inf": {**MODEL_DOC, "alpha": -math.inf},
+    "model_iE_inf": {**MODEL_DOC, "points": [{**MODEL_DOC["points"][0], "iE": math.inf}]},
+    "model_iE_minus_inf": {**MODEL_DOC, "points": [{**MODEL_DOC["points"][0], "iE": -math.inf}]},
 }
 
 
@@ -290,8 +295,9 @@ def test_unfactorable_resultant_exits_4(tmp_path):
     n = 1000000000000000003 * 3000000000000000037
     path = tmp_path / "semiprime.json"
     path.write_text(json.dumps({"space": {"dim": 1}, "maps": [{"lift": ["X0^2+X1^2", f"{n}*X1^2"]}]}))
-    code, _out, err = run_cli("validate", "--system", str(path), timeout=30)
+    code, out, err = run_cli("validate", "--system", str(path), timeout=30)
     assert code == 4
+    assert out == ""
     assert err == "error: cannot factor a 37-digit number within 2,000,000 rho steps\n"
 
 
@@ -349,6 +355,24 @@ def test_local_sweep_csv(tmp_path):
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert all(abs(float(r[3])) <= float(r[4]) for r in rows)
     assert "empirical_c" in err
+
+
+def test_local_sweep_skips_a_point_on_the_divisor(tmp_path):
+    # The section t:1 lies on {x_0 = 0} at t = 0: that fiber is skipped and
+    # counted, the others give rows.
+    doc = {"space": {"dim": 1}, "maps": [{"lift": ["X0^2+t*X1^2", "X1^2"]}], "section": ["t", "1"]}
+    path = tmp_path / "x2pt_section_t.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        "local-sweep", "--system", str(path), "--index", "0", "--place", "inf", "--t", "0,1,2",
+    )
+    assert code == 0
+    assert out == (
+        "t,h_T,point,value,aux\n"
+        "1,0,1:1,0.407354522739,0\n"
+        "2,0.69314718056,2:1,0.216422429562,0\n"
+    )
+    assert err == "empirical_c 0.407354522739 skipped=1\n"
 
 
 def test_bad_parameters_skipped_not_fatal(tmp_path):

@@ -22,6 +22,33 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes that no module of sources references.
+
+    sources maps module file names to their text; a name counts as
+    referenced when any module reads it, as a name, an attribute or an
+    imported name.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return [
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and node.name not in referenced
+    ]
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     # __init__ imports to re-export: its imports are the package namespace.
     modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
@@ -40,3 +67,34 @@ def test_unused_import_check_catches_leftovers():
         "    return log_norm(point.coords, None)\n"
     )
     assert unused_imports(source) == ["math", "os", "valuation"]
+
+
+def test_every_private_function_and_class_is_referenced():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_privates(sources) == []
+
+
+def test_unreferenced_private_check_catches_leftovers():
+    sources = {
+        "canonical.py": (
+            "def _class_table(system):\n"
+            "    return _unit_canonical(system)\n"
+            "def _unit_canonical(coords):\n"
+            "    return coords\n"
+            "def _close_classes(system, start):\n"
+            "    return None\n"
+            "class _Table:\n"
+            "    pass\n"
+            "def __getattr__(name):\n"
+            "    raise AttributeError(name)\n"
+        ),
+        "family.py": (
+            "from . import canonical\n"
+            "from .canonical import _class_table as table\n"
+            "def _fibers(system):\n"
+            "    return table(system)\n"
+            "def sweep(system):\n"
+            "    return _fibers(system), canonical._Table\n"
+        ),
+    }
+    assert unreferenced_privates(sources) == ["canonical.py: _close_classes"]
