@@ -27,6 +27,15 @@ the finite places, the oracle and the function-field height.  Its levels
 carry total, the sum of words * weight over the states expanded: the
 valuation sum sum_i e_i at a finite place, the degree sum over Q(t).
 
+Since floats never merge, level m of the archimedean walk charges k^m
+evaluations whatever the point, so its budget horizon, the deepest level
+whose walk fits the node budget, is known before level 1.  A fixed walk
+deeper than the horizon, and an adaptive walk whose monitored tail at the
+horizon is already at least eps, raise the budget error of the level past
+the horizon without walking to it.  So a fixed walk over the horizon
+reports the budget error before any float fault at a shallower level, as
+a fixed finite-place walk over the budget is refused up front.
+
 On every P^N a finite-place step reads at most r = max_{i,j} ord_p(R_ij)
 digits, R_ij the integers of the Nullstellensatz certificates
 R_ij * X_j^delta = sum_l G_ijl * F_il (Morphism.certificate), so a state
@@ -255,6 +264,26 @@ def _green_arch(system: PolarizedSystem, coords, cfg: GreenConfig) -> GreenProfi
     return _green_tree(system, coords, cfg)
 
 
+def _arch_horizon(k: int, budget: int) -> tuple[int, int]:
+    """(last, nodes): the deepest archimedean level within budget, and the
+    map evaluations that a walk through it charges.
+
+    Floats never merge, so level m charges k^m evaluations whatever the
+    point, and a walk through level m charges sum_{j<=m} k^j.  A chain
+    (k = 1) charges m, so its horizon is the budget itself.
+    """
+    if k == 1:
+        last = max(budget, 0)
+        return last, last
+    last = nodes = 0
+    width = k
+    while nodes + width <= budget:
+        last += 1
+        nodes += width
+        width *= k
+    return last, nodes
+
+
 def _arch_walk(system: PolarizedSystem, coords, cfg: GreenConfig, step) -> GreenProfile:
     """The archimedean level loop that the chain and the tree share.
 
@@ -263,6 +292,15 @@ def _arch_walk(system: PolarizedSystem, coords, cfg: GreenConfig, step) -> Green
     returns (next level, sum of ln c over the level's images, the largest
     |sum_i ln c_i| of one parent); a level is any sequence with one entry
     per point.
+
+    The budget horizon last (_arch_horizon) is known before level 1, and
+    level last + 1 would raise charge_level's error.  A fixed walk deeper
+    than last raises it at once, before any float fault that a shallower
+    level would meet, as the finite-place walk refuses a fixed walk up
+    front.  An adaptive walk stops at level m only if geom_tail(chat, m) <
+    eps; chat never decreases and the tail falls with m, so once
+    geom_tail(chat, last) >= eps after some level, no level up to last can
+    stop and the walk raises the same error right away.
     """
     coords = [int(c) for c in coords]
     sup = max(abs(c) for c in coords)
@@ -271,12 +309,29 @@ def _arch_walk(system: PolarizedSystem, coords, cfg: GreenConfig, step) -> Green
     total = math.log(sup)
     level = [tuple(float(Fraction(c, sup)) for c in coords)]
     budget = resolve_budget(cfg.node_budget)
+    k = system.k
+    last, full = _arch_horizon(k, budget)
+
+    def refuse():
+        charge_level(full, k ** (last + 1), last + 1, budget)   # raises: level last + 1
+
+    # A chat at or above doomed cannot stop by level last; geom_tail itself
+    # confirms before a refusal, so rounding here only delays one.  An
+    # r^last that underflows to 0 leaves doomed at inf: no early refusal.
+    doomed = math.inf
+    if cfg.depth > last:
+        if cfg.mode == "fixed":
+            refuse()
+        ratio = k / system.alpha
+        shrink = ratio**last
+        if shrink > 0.0:
+            doomed = cfg.target_eps * (1.0 - ratio) / shrink
     increments: list[float] = []
     chat = 0.0
     nodes = 0
     weight = 1.0
     for m in range(1, cfg.depth + 1):
-        nodes = charge_level(nodes, system.k * len(level), m, budget)
+        nodes = charge_level(nodes, k * len(level), m, budget)
         try:
             level, lnc_sum, lnc_max = step(level, m)
         except OverflowError as exc:
@@ -288,6 +343,8 @@ def _arch_walk(system: PolarizedSystem, coords, cfg: GreenConfig, step) -> Green
         increments.append(inc)
         if _converged(system, cfg, increments, chat):
             break
+        if chat >= doomed and geom_tail(system, chat, last) >= cfg.target_eps:
+            refuse()
     return GreenProfile(total, increments, chat, len(increments), nodes)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from dynheight import canonical
 from dynheight.canonical import (
@@ -905,6 +905,99 @@ def test_fixed_padic_walk_fails_before_building_residues():
     assert prof.nodes == 8
     adaptive = GreenConfig(depth=10**4, target_eps=1e-3, mode="adaptive", node_budget=10**4)
     assert green_profile(SBAD, (5, 7), Place(3), adaptive).depth < 20
+
+
+def _profile_bits(prof):
+    return (prof.value.hex(), [x.hex() for x in prof.increments], prof.chat.hex(),
+            prof.depth, prof.nodes)
+
+
+@given(
+    st.lists(_binary_forms, min_size=2, max_size=3),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+    st.integers(2**6, 2**12),
+    st.sampled_from(["fixed", "adaptive"]),
+    st.integers(1, 9),
+    st.integers(1, 14),
+)
+# CHEB at 5:7 with budget 4096: refused at eps 1e-9, stops at level 5 at eps 1e-2
+@example([([1, 0, -2], [0, 0, 1]), ([1, 0, -3, 0], [0, 0, 0, 1])], (5, 7), 4096, "adaptive", 9, 14)
+@example([([1, 0, -2], [0, 0, 1]), ([1, 0, -3, 0], [0, 0, 0, 1])], (5, 7), 4096, "adaptive", 2, 14)
+# Budgets of exactly 2^10 - 2 and 2^12 - 2 nodes: CHEB's fixed walk fills
+# the horizon, and the adaptive walks stop at it with geom_tail(chat, last)
+# at 0.97 and 0.98 eps, so a rule that refuses a tail below 0.97 eps fails.
+@example([([1, 0, -2], [0, 0, 1]), ([1, 0, -3, 0], [0, 0, 0, 1])], (5, 7), 4094, "fixed", 9, 11)
+@example([([4, 2, 1], [0, 2, 2]), ([-2, -4], [1, -4])], (5, 7), 1022, "adaptive", 1, 14)
+@example([([2, 3], [0, -2]), ([1, 4, 4, 2], [3, 3, -4, -2])], (2, 1), 4094, "adaptive", 3, 14)
+@settings(max_examples=80, deadline=None)
+def test_arch_refusal_is_exact(forms, coords, budget, mode, log_eps, depth):
+    # A walk refused at its budget horizon raises iff the same walk with an
+    # unlimited budget charges more than the budget before it stops, with
+    # the message of the level that breaks the budget; any other walk
+    # returns the unlimited walk's profile bit for bit.
+    try:
+        system = validate_system([_binary_morphism(rows) for rows in forms])
+    except ValidationError:
+        assume(False)               # a zero lift, a non-morphism or alpha <= k
+    assume(coords != (0, 0) and system.k**depth <= 2**14)
+    cfg = GreenConfig(depth=depth, target_eps=10.0**-log_eps, mode=mode)
+    try:
+        ref = canonical._green_tree(system, coords, cfg)
+    except DynHeightError:
+        assume(False)               # a float fault: no budget to compare
+    limited = GreenConfig(depth=depth, target_eps=cfg.target_eps, mode=mode, node_budget=budget)
+    event(f"{mode} {'returns' if ref.nodes <= budget else 'raises'}")
+    if ref.nodes <= budget:
+        assert _profile_bits(canonical._green_tree(system, coords, limited)) == _profile_bits(ref)
+        return
+    nodes = m = 0
+    while nodes <= budget:
+        m += 1
+        nodes += system.k**m
+    with pytest.raises(BudgetExceededError) as info:
+        canonical._green_tree(system, coords, limited)
+    assert str(info.value) == f"budget exceeded: depth {m} needs {nodes} nodes > {budget}"
+
+
+def test_doomed_cheb_walk_is_refused_within_two_levels(monkeypatch):
+    # At eps 1e-9 CHEB's tail after level 22 is still above eps, so the
+    # walk is refused as soon as chat shows it, not after 8.4 M nodes.
+    levels = []
+    arch_walk = canonical._arch_walk
+
+    def counted(system, coords, cfg, step):
+        def counted_step(level, m):
+            levels.append(m)
+            return step(level, m)
+        return arch_walk(system, coords, cfg, counted_step)
+
+    monkeypatch.setattr(canonical, "_arch_walk", counted)
+    cfg = GreenConfig(depth=60, target_eps=1e-9, mode="adaptive")
+    for text in ("5:7", "2:1"):
+        levels.clear()
+        with pytest.raises(BudgetExceededError) as info:
+            canonical_height(CHEB, parse_point(text), cfg)
+        assert str(info.value) == "budget exceeded: depth 23 needs 16777214 nodes > 10000000"
+        assert 1 <= len(levels) <= 2, (text, levels)
+
+
+def test_long_adaptive_chain_keeps_its_profile():
+    # The chain's horizon is its budget, found without a loop; past it,
+    # (k/alpha)^last underflows to 0 and only the walk itself can fail.
+    pinned = (
+        "0x1.275ef006f9dcfp+0",
+        ["0x1.af8e8210a4161p-5", "0x1.460d6ccca367cp-9", "0x1.9b2553f319f35p-17",
+         "0x1.4a20276564916p-31"] + ["0x0.0p+0"] * 23,
+        "0x1.af8e8210a4161p-5", 27, 27,
+    )
+    for depth in (10**6, 2 * 10**6):
+        cfg = GreenConfig(depth=depth, mode="adaptive", node_budget=10**6)
+        assert _profile_bits(canonical._green_chain(X2P1, (3, 1), cfg)) == pinned, depth
+    assert canonical._arch_horizon(1, 10**6) == (10**6, 10**6)
+    assert canonical._arch_horizon(2, 10**7) == (22, 2**23 - 2)
+    assert canonical._arch_horizon(2, 2**23 - 2) == (22, 2**23 - 2)
+    assert canonical._arch_horizon(2, 2**23 - 3) == (21, 2**22 - 2)
+    assert canonical._arch_horizon(3, 2) == (0, 0)
 
 
 def test_budget_env_override(monkeypatch):

@@ -278,6 +278,15 @@ def test_budget_exit_code(files):
     assert err == "error: budget exceeded: depth 23 needs 16777214 nodes > 10000000\n"
 
 
+def test_doomed_adaptive_height_exits_4():
+    # The tail at the budget horizon is above eps after level 2, so the
+    # walk is refused there with the error that depth 23 would raise.
+    cheb = str(ROOT / "scripts" / "systems" / "chebyshev23.json")
+    code, out, err = run_cli("height", "--system", cheb, "--point", "5:7", "--eps", "1e-9")
+    assert (code, out) == (4, "")
+    assert err == "error: budget exceeded: depth 23 needs 16777214 nodes > 10000000\n"
+
+
 def test_huge_fixed_depth_at_bad_prime_exits_4():
     # Refused before the walk builds residues of depth*r + 1 digits.
     sbad = str(ROOT / "perfbench" / "systems" / "sbad.json")
